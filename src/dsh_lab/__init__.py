@@ -42,9 +42,7 @@ from .dsh_model import (
     check_simplicity_condition,
     compose_diagonal_maps,
     eval_element,
-    is_invertible,
     norm_dist,
-    restrict_model,
     soft_threshold,
     validate_model,
     witness_no_block_point,

@@ -26,9 +26,9 @@ from . import unitary_paths as up
 from . import verify as vf
 from .matrixkit import matrix_to_json
 from .srone_pipeline import (
-    ChainTooShortError,
     PipelineError,
     approximate_by_invertible,
+    plan_chain,
     plant_singular_element,
 )
 
@@ -172,8 +172,8 @@ def _cmd_pipeline(args) -> int:
     s = _load_substitution(args.substitution)
     rng = np.random.default_rng(seed)
     bases = dyn.fibonacci_prefix_bases(s, args.max_depth)
-    depth = min(3, args.max_depth)
-    chain = dyn.build_cylinder_chain(s, bases[:depth], base_horizon=args.horizon,
+    chain = dyn.build_cylinder_chain(s, bases[:min(3, args.max_depth)],
+                                     base_horizon=args.horizon,
                                      max_points_per_level=args.max_points,
                                      L_scan=args.scan_length)
     if args.element:
@@ -189,29 +189,20 @@ def _cmd_pipeline(args) -> int:
         planted = plant_singular_element(chain.model(1), rng, scale=args.plant_scale)
         input_id = "planted"
     t0 = time.perf_counter()
-    while True:
-        try:
-            _, cert = approximate_by_invertible(list(chain.maps), planted,
-                                                args.epsilon, j=1, input_id=input_id)
-            break
-        except ChainTooShortError as exc:
-            while (depth < args.max_depth
-                   and chain.towers[-1].model.smallest_dim < exc.required_n1):
-                depth += 1
-                chain = dyn.extend_cylinder_chain(s, chain, bases[depth - 1],
-                                                  args.max_points, args.scan_length)
-            if chain.towers[-1].model.smallest_dim < exc.required_n1:
-                raise DomainError(
-                    f"chain depth {args.max_depth} exhausted: {exc}") from exc
-        except PipelineError as exc:
-            raise DomainError(str(exc)) from exc
+    try:
+        chain = plan_chain(s, chain, bases, planted, args.epsilon,
+                           args.max_points, args.scan_length)
+        _, cert = approximate_by_invertible(list(chain.maps), planted,
+                                            args.epsilon, j=1, input_id=input_id)
+    except PipelineError as exc:
+        raise DomainError(str(exc)) from exc
     report = {
         "command": "pipeline",
         "seed": seed,
         "epsilon": args.epsilon,
         "chain": {
-            "bases": [t.base for t in chain.towers[:depth]],
-            "dimensions": [list(t.return_times) for t in chain.towers[:depth]],
+            "bases": [t.base for t in chain.towers],
+            "dimensions": [list(t.return_times) for t in chain.towers],
             "depth_used": cert.output_stage,
         },
         "certificate": cert.to_json(),

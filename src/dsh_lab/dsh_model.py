@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .matrixkit import (
-    DEFAULT_ATOL,
     _frozen,
     direct_sum,
     matrix_from_json,
@@ -195,9 +194,6 @@ class Element:
             stored[ref] = _frozen(v)
         self.model = model
         self.values = stored
-
-    def value(self, ref: PointRef) -> np.ndarray:
-        return eval_element(self, ref)
 
     def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Element":
         return Element(self.model, {r: fn(v) for r, v in self.values.items()})
@@ -392,33 +388,6 @@ def compose_diagonal_maps(d2: DiagonalMap, d1: DiagonalMap) -> DiagonalMap:
     return DiagonalMap(d1.source, d2.target, lists)
 
 
-def restrict_model(m: FiniteDshModel, keep: Iterable[PointRef]) -> FiniteDshModel:
-    """Drop free points outside ``keep``; glued points are all retained.
-
-    Every glued point must have its gluing references inside ``keep``
-    (the discrete closure condition); violating that names the missing
-    reference.
-    """
-    keep = set(keep)
-    free = set(m.free_refs())
-    for r in keep:
-        if r not in free:
-            raise KeyError(f"{r} is not a free point of the model")
-    for gref in m.glued_refs():
-        for sub in m.point(gref).gluing:
-            if sub not in keep:
-                raise ValueError(f"glued point {gref} references dropped point {sub}")
-    levels = []
-    for i, lvl in enumerate(m.levels, start=1):
-        pts = tuple(p for p in lvl.points if p.is_glued or PointRef(i, p.id) in keep)
-        levels.append(Level(lvl.dim, pts))
-    return FiniteDshModel(tuple(levels))
-
-
-def restrict_element(e: Element, restricted: FiniteDshModel) -> Element:
-    return Element(restricted, {r: e.values[r] for r in restricted.free_refs()})
-
-
 class InfeasibleIndicatorError(ValueError):
     pass
 
@@ -532,10 +501,6 @@ def norm_dist(e1: Element, e2: Element) -> float:
 
 def min_singular_over_points(e: Element) -> float:
     return min(min_singular_value(eval_element(e, r)) for r in e.model.all_refs())
-
-
-def is_invertible(e: Element, tol: float) -> bool:
-    return min_singular_over_points(e) > tol
 
 
 def chain_models(chain: Sequence[DiagonalMap]) -> list[FiniteDshModel]:

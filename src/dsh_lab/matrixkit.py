@@ -45,14 +45,6 @@ def as_matrix(entries) -> np.ndarray:
     return _frozen(a)
 
 
-def identity(n: int) -> np.ndarray:
-    return _frozen(np.eye(n, dtype=np.complex128))
-
-
-def zero_matrix(n: int) -> np.ndarray:
-    return _frozen(np.zeros((n, n), dtype=np.complex128))
-
-
 def direct_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
     """diag(B_1, ..., B_t) of square blocks."""
     blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
@@ -66,13 +58,6 @@ def direct_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
         out[off:off + d, off:off + d] = b
         off += d
     return _frozen(out)
-
-
-def matrices_close(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise tolerance-parameterized equality."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= atol)
 
 
 @dataclass(frozen=True)
@@ -161,8 +146,9 @@ def has_zero_cross(a: np.ndarray, k: int, atol: float = DEFAULT_ATOL) -> bool:
 
 
 def zero_cross_positions(a: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[int, ...]:
-    a = np.asarray(a)
-    return tuple(k for k in range(1, a.shape[0] + 1) if has_zero_cross(a, k, atol))
+    """Every k for which has_zero_cross(A, k, atol) holds, in one pass over A."""
+    small = np.abs(np.asarray(a)) <= atol
+    return tuple(int(k) + 1 for k in np.flatnonzero(small.all(axis=0) & small.all(axis=1)))
 
 
 def has_block_point(a: np.ndarray, k: int, atol: float = DEFAULT_ATOL) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .dsh_model import (
     soft_threshold,
     unit_element,
 )
+from .dynamics import CylinderChain, Substitution, extend_cylinder_chain
 from .matrixkit import (
     DEFAULT_ATOL,
     PATH_ATOL,
@@ -47,7 +49,7 @@ from .matrixkit import (
     min_singular_value,
     perm_matrix,
 )
-from .unitary_paths import _rmul_transposition, condense_path, v_n
+from .unitary_paths import condense_path, gather_multi, v_n
 
 INVERTIBLE_TOL = 1e-9
 
@@ -150,15 +152,9 @@ class ZeroCrossStage:
     predicates: list[Predicate] = field(default_factory=list)
 
 
-def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
-    """Perturb within eps and rotate so row/column 1 vanishes at one point.
-
-    The smallest singular value at the located point is replaced by zero
-    (that is the whole distance), and the unitaries carry the corresponding
-    singular bases so that vL e' vR has a zero cross in position 1 there.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def _zero_cross_point(e: Element, eps: float) -> PointRef:
+    """The point make_zero_cross rotates: the first point of the highest
+    level whose smallest singular value is below eps."""
     svs = {ref: min_singular_value(e.values[ref]) for ref in sorted(e.model.free_refs())}
     global_min = min(svs.values())
     if global_min > INVERTIBLE_TOL:
@@ -170,7 +166,19 @@ def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
             f"not eps-close to singular: min singular value {global_min:.3g} >= eps={eps:.3g}"
         )
     candidates = [r for r, sv in svs.items() if sv < eps]
-    p_star = max(candidates, key=lambda r: r.level)  # first point of the highest level
+    return max(candidates, key=lambda r: r.level)
+
+
+def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
+    """Perturb within eps and rotate so row/column 1 vanishes at one point.
+
+    The smallest singular value at the located point is replaced by zero
+    (that is the whole distance), and the unitaries carry the corresponding
+    singular bases so that vL e' vR has a zero cross in position 1 there.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    p_star = _zero_cross_point(e, eps)
     n = e.model.dim(p_star.level)
     a = e.values[p_star]
 
@@ -231,16 +239,31 @@ class PropagationStage:
     predicates: list[Predicate] = field(default_factory=list)
 
 
+def gathering_parameters(models: list[FiniteDshModel], j: int, j_witness: int,
+                         N: int | None = None) -> tuple[int, int, int, int]:
+    """(M, N, R, required n_1) for gathering from stage j with witness j_witness.
+
+    M is twice the witness stage's largest dimension, R the largest
+    dimension at stage j, N defaults to R+M+3, and the gathering stage needs
+    smallest dimension at least NM+1.
+    """
+    M = 2 * models[j_witness - 1].largest_dim
+    R = models[j - 1].largest_dim
+    if N is None:
+        N = R + M + 3
+    return M, N, R, N * M + 1
+
+
 def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
                       N: int | None = None) -> PropagationStage:
     """Push the zero cross down the chain until it recurs every M entries.
 
     Finds the simplicity witness stage for U (every point there sees the
-    cross through its eigenvalue list), sets M to twice that stage's largest
-    dimension, and picks the first later stage whose smallest dimension is
-    at least NM+1. The gathering unitaries are transposition paths driven by
-    the indicator (1s at k+aM over each block start k) times the mapped
-    cross gate, exactly the windowed product construction.
+    cross through its eigenvalue list), sets M, N and R by
+    ``gathering_parameters``, and picks the first later stage whose smallest
+    dimension is at least NM+1. At every free point of that stage,
+    ``gather_multi`` gathers the mapped cross gate into the windows that the
+    indicator marks (1s at k+aM over each block start k).
     """
     models = chain_models(chain)
     if not (1 <= j <= len(models)) or zc.element.model != models[j - 1]:
@@ -250,11 +273,7 @@ def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
         raise SimplicityError(
             f"simplicity condition fails: no chain stage meets U={sorted(zc.points)}"
         )
-    M = 2 * models[j_witness - 1].largest_dim
-    R = models[j - 1].largest_dim
-    if N is None:
-        N = R + M + 3
-    required = N * M + 1
+    M, N, R, required = gathering_parameters(models, j, j_witness, N)
     jp = None
     for idx in range(j_witness + 1, len(models) + 1):
         if models[idx - 1].smallest_dim >= required:
@@ -273,33 +292,23 @@ def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
     theta = build_indicator(model_jp, M, tuple(a * M for a in range(N)))
 
     preds: list[Predicate] = []
-    starts = block_starts(model_jp)
     v_vals: dict[PointRef, np.ndarray] = {}
+    image_vals: dict[PointRef, np.ndarray] = {}
     for ref in model_jp.free_refs():
-        n = model_jp.dim(ref.level)
-        th = np.real(np.diag(theta.values[ref]))
-        dl = np.real(np.diag(delta_p.values[ref]))
-        g_val = g.values[ref]
-        for i in range(1, n + 1):
-            if dl[i - 1] > 0.0:
-                _require(preds, "gate_marks_zero_crosses",
-                         has_zero_cross(g_val, i, PATH_ATOL),
-                         f"{ref}: gate positive at {i} without a zero cross")
-        v = np.eye(n, dtype=np.complex128)
-        for k in range(1, n - (M - 1) + 1):
-            if th[k - 1] == 0.0:
-                continue
-            _require(preds, "gathering_window_has_full_gate",
-                     any(dl[k + a - 1] == 1.0 for a in range(M)),
-                     f"{ref}: no gate value 1 in window [{k}, {k + M - 1}]")
-            for a in range(1, M):
-                _rmul_transposition(v, k, k + a, th[k - 1] * dl[k + a - 1])
-        v_vals[ref] = _frozen(v)
+        ks = [int(k) + 1 for k in np.flatnonzero(np.diag(theta.values[ref]))]
+        witness = None
+        try:
+            v_vals[ref], image_vals[ref] = gather_multi(
+                g.values[ref], np.real(np.diag(delta_p.values[ref])), ks, M)
+        except (ValueError, IndexError, RuntimeError) as exc:
+            witness = f"{ref}: {exc}"
+        _require(preds, "windowed_gathering", witness is None, witness)
     gather = Element(model_jp, v_vals)
     v1 = gather * apply_diagonal_map(phi, zc.left)
     v2 = apply_diagonal_map(phi, zc.right) * gather.adjoint()
-    image = gather * g * gather.adjoint()
+    image = Element(model_jp, image_vals)
 
+    starts = block_starts(model_jp)
     for ref in model_jp.all_refs():
         val = eval_element(image, ref)
         for k in starts[ref]:
@@ -350,19 +359,14 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     return out, delta, dist_at(delta)
 
 
-def condense_crosses(g_prime: Element, M: int, N: int) -> tuple[Element, Element]:
+def condense_crosses(g_prime: Element, M: int, N: int,
+                     ) -> tuple[Element, Element, list[Predicate]]:
     """Walk the crosses at k, k+M, ..., k+(N-1)M into k, k+1, ..., k+N-1.
 
     Requires a block point at every block start, so the condensation path
     acts inside one diagonal block per start; the diagonal radius grows by
-    at most 2 at every point.
+    at most 2 at every point. Returns (V3, V3 G' V3*, verified predicates).
     """
-    v3, out, _ = _condense_crosses_impl(g_prime, M, N)
-    return v3, out
-
-
-def _condense_crosses_impl(g_prime: Element, M: int, N: int,
-                           ) -> tuple[Element, Element, list[Predicate]]:
     model = g_prime.model
     nm = N * M
     if model.smallest_dim <= nm:
@@ -416,19 +420,13 @@ def _condense_crosses_impl(g_prime: Element, M: int, N: int,
     return v3, out, preds
 
 
-def triangulate(g_second: Element, N: int) -> tuple[Element, Element]:
+def triangulate(g_second: Element, N: int) -> tuple[Element, Element, list[Predicate]]:
     """Right-multiply by the per-point triangulating unitary.
 
     Requires consecutive crosses k..k+N-1 at every block start and diagonal
     radius < N everywhere; the product is strictly lower triangular at every
-    point.
+    point. Returns (V4, G'' V4, verified predicates).
     """
-    v4, out, _ = _triangulate_impl(g_second, N)
-    return v4, out
-
-
-def _triangulate_impl(g_second: Element, N: int,
-                      ) -> tuple[Element, Element, list[Predicate]]:
     model = g_second.model
     if model.smallest_dim <= N:
         raise ValueError(f"need n_1 > N = {N}, got n_1 = {model.smallest_dim}")
@@ -532,8 +530,8 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
                  diagonal_radius(val) <= diagonal_radius(before, PATH_ATOL),
                  f"{ref}: radius increased")
 
-    v3, g_second, condense_preds = _condense_crosses_impl(g_prime, prop.M, prop.N)
-    v4, t_el, triangulate_preds = _triangulate_impl(g_second, prop.N)
+    v3, g_second, condense_preds = condense_crosses(g_prime, prop.M, prop.N)
+    v4, t_el, triangulate_preds = triangulate(g_second, prop.N)
     delta_r = eps / 8
     core = rordam_invert(t_el, delta_r)
     a_prime = (v3.adjoint() * core * v4.adjoint() * v3)
@@ -572,6 +570,41 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         min_singular_value=minsv, runtime_ms=1000 * (time.perf_counter() - t0),
     )
     return a_prime, cert
+
+
+def plan_chain(s: Substitution, chain: CylinderChain, bases: Sequence[str], a: Element,
+               eps: float, max_points_per_level: int, L_scan: int) -> CylinderChain:
+    """Deepen ``chain`` along ``bases`` until ``approximate_by_invertible``
+    can run on ``a`` (an element at stage 1) in one attempt.
+
+    The chain grows one base at a time until some stage is a simplicity
+    witness for the point that make_zero_cross rotates, and the last stage's
+    smallest dimension reaches the n_1 that ``gathering_parameters``
+    requires. An invertible ``a`` needs no deepening. Once ``bases`` is used
+    up this raises SimplicityError or ChainTooShortError.
+    """
+    if find_singular_point(a, INVERTIBLE_TOL) is None:
+        return chain
+    # eps/4 is the budget approximate_by_invertible gives make_zero_cross
+    U = {_zero_cross_point(a, eps / 4)}
+    j_witness = None
+    while True:
+        if j_witness is None and chain.maps:
+            _, j_witness = check_simplicity_condition(list(chain.maps), 1, U)
+        if j_witness is not None:
+            models = [t.model for t in chain.towers]
+            M, N, _, required = gathering_parameters(models, 1, j_witness)
+            if models[-1].smallest_dim >= required:
+                return chain
+        if chain.depth >= len(bases):
+            break
+        chain = extend_cylinder_chain(s, chain, bases[chain.depth],
+                                      max_points_per_level, L_scan)
+    exhausted = f"chain depth {len(bases)} exhausted"
+    if j_witness is None:
+        raise SimplicityError(f"{exhausted}: no chain stage meets U={sorted(U)}")
+    raise ChainTooShortError(required, f"{exhausted}: need a stage with smallest "
+                                       f"dimension >= {required} (N={N}, M={M})")
 
 
 def plant_singular_element(model: FiniteDshModel, rng: np.random.Generator,

@@ -25,6 +25,7 @@ from .matrixkit import (
     diagonal_radius,
     has_zero_cross,
     perm_matrix,
+    zero_cross_positions,
 )
 
 
@@ -146,23 +147,25 @@ def eta_path(k: int, n: int, N: int, t: float, ambient: int | None = None) -> np
     return _frozen(out)
 
 
-def _window_unitary(n: int, k: int, delta: ThetaVector, m_window: int) -> np.ndarray:
-    """u_{(k,k+1)}(delta_{k+1}) ... u_{(k,k+M-1)}(delta_{k+M-1})."""
-    out = np.eye(n, dtype=np.complex128)
+def _rmul_window(v: np.ndarray, k: int, delta: ThetaVector, m_window: int) -> None:
+    """In place v <- v u_{(k,k+1)}(delta_{k+1}) ... u_{(k,k+M-1)}(delta_{k+M-1})."""
     for a in range(1, m_window):
-        _rmul_transposition(out, k, k + a, delta[k + a])
-    return out
+        _rmul_transposition(v, k, k + a, delta[k + a])
 
 
-def _check_gather_pre(a: np.ndarray, k: int, delta: ThetaVector, m_window: int) -> None:
+def _check_gate(a: np.ndarray, delta: ThetaVector) -> None:
     n = a.shape[0]
     if delta.n != n:
         raise ValueError(f"delta has length {delta.n}, matrix has dimension {n}")
+    crosses = set(zero_cross_positions(a, DEFAULT_ATOL))
+    for i in range(1, n + 1):
+        if delta[i] > 0.0 and i not in crosses:
+            raise ValueError(f"delta_{i} > 0 but the matrix has no zero cross at position {i}")
+
+
+def _check_window(n: int, k: int, delta: ThetaVector, m_window: int) -> None:
     if not (1 <= k and k + m_window - 1 <= n):
         raise IndexError(f"window [{k}, {k + m_window - 1}] does not fit in dimension {n}")
-    for i in range(1, n + 1):
-        if delta[i] > 0.0 and not has_zero_cross(a, i, DEFAULT_ATOL):
-            raise ValueError(f"delta_{i} > 0 but the matrix has no zero cross at position {i}")
     if not any(delta[i] == 1.0 for i in range(k, k + m_window)):
         raise ValueError(f"no entry of delta equals 1 inside the window [{k}, {k + m_window - 1}]")
 
@@ -177,8 +180,10 @@ def gather_once(a: np.ndarray, k: int, delta, m_window: int) -> tuple[np.ndarray
     """
     a = np.asarray(a, dtype=np.complex128)
     delta = ThetaVector.coerce(delta)
-    _check_gather_pre(a, k, delta, m_window)
-    v = _window_unitary(a.shape[0], k, delta, m_window)
+    _check_gate(a, delta)
+    _check_window(a.shape[0], k, delta, m_window)
+    v = np.eye(a.shape[0], dtype=np.complex128)
+    _rmul_window(v, k, delta, m_window)
     b = v @ a @ v.conj().T
     if not has_zero_cross(b, k, PATH_ATOL):
         raise RuntimeError(f"gathering failed to produce a zero cross at {k}")
@@ -190,7 +195,8 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
 
     ks must be increasing with gaps >= M and the last window must fit. The
     returned pair is (V_N ... V_1, the conjugated matrix); the diagonal
-    radius grows by at most M-1.
+    radius grows by at most M-1. The windows are disjoint, so the factors
+    commute and are accumulated into one unitary that conjugates A once.
     """
     a = np.asarray(a, dtype=np.complex128)
     delta = ThetaVector.coerce(delta)
@@ -198,18 +204,16 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
     for j in range(len(ks) - 1):
         if ks[j + 1] - ks[j] < m_window:
             raise ValueError(f"window starts {ks[j]} and {ks[j + 1]} closer than M={m_window}")
-    r_before = diagonal_radius(a)
+    _check_gate(a, delta)
     total = np.eye(a.shape[0], dtype=np.complex128)
-    b = a
     for k in ks:
-        _check_gather_pre(a, k, delta, m_window)
-        v = _window_unitary(a.shape[0], k, delta, m_window)
-        b = v @ b @ v.conj().T
-        total = v @ total
+        _check_window(a.shape[0], k, delta, m_window)
+        _rmul_window(total, k, delta, m_window)
+    b = total @ a @ total.conj().T
     for k in ks:
         if not has_zero_cross(b, k, PATH_ATOL):
             raise RuntimeError(f"gathering failed to produce a zero cross at {k}")
-    if diagonal_radius(b, PATH_ATOL) > r_before + m_window - 1:
+    if diagonal_radius(b, PATH_ATOL) > diagonal_radius(a) + m_window - 1:
         raise RuntimeError("diagonal radius grew by more than M-1")
     return _frozen(total), _frozen(b)
 
@@ -245,19 +249,6 @@ def _rmul_cycle_gather(out: np.ndarray, i: int, j: int, theta: float) -> None:
     """
     for m in range(i, j):
         _rmul_transposition(out, m, m + 1, ramp(j - i, j - m, theta))
-
-
-def cycle_gather_path(n: int, i: int, j: int) -> UnitaryPath:
-    """The path u_j^i; at theta=1 it is the permutation cycle (i, i+1, ..., j)."""
-    if not (1 <= i <= j <= n):
-        raise IndexError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
-
-    def fn(theta: float) -> np.ndarray:
-        out = np.eye(n, dtype=np.complex128)
-        _rmul_cycle_gather(out, i, j, theta)
-        return _frozen(out)
-
-    return UnitaryPath(n, fn)
 
 
 def condense_path(n: int, zs: Sequence[int]) -> UnitaryPath:

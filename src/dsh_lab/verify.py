@@ -17,6 +17,8 @@ from . import dsh_model as dm
 from . import dynamics as dyn
 from . import unitary_paths as up
 from .matrixkit import (
+    DEFAULT_ATOL,
+    PATH_ATOL,
     Permutation,
     cycle_perm,
     diagonal_radius,
@@ -25,10 +27,6 @@ from .matrixkit import (
     is_unitary,
     perm_matrix,
 )
-
-EXACT = 1e-12
-PATH = 1e-9
-
 
 class CounterexampleFound(AssertionError):
     pass
@@ -154,7 +152,7 @@ def _suite_conj(rng: np.random.Generator, trials: int) -> int:
                         lhs = swap @ up.u_transposition(
                             up.TranspositionPathSpec(k1, k2, n), t) @ swap
                         rhs = up.u_transposition(up.TranspositionPathSpec(k1, k3, n), t)
-                        _check(np.max(np.abs(lhs - rhs)) <= EXACT,
+                        _check(np.max(np.abs(lhs - rhs)) <= DEFAULT_ATOL,
                                f"conjugation identity failed at n={n}, "
                                f"(k1,k2,k3)=({k1},{k2},{k3}), t={t}")
                         checks += 1
@@ -173,7 +171,7 @@ def _suite_fullconj(rng: np.random.Generator, trials: int) -> int:
                     for th in thetas:
                         lhs = up.eta_path(k, n, N, th)
                         rhs = big @ up.eta_path(k, n, N, th, ambient=i) @ big
-                        _check(np.max(np.abs(lhs - rhs)) <= EXACT,
+                        _check(np.max(np.abs(lhs - rhs)) <= DEFAULT_ATOL,
                                f"nesting identity failed at n={n}, N={N}, i={i}, "
                                f"k={k}, theta={th}")
                         checks += 1
@@ -218,16 +216,16 @@ def _suite_permute(rng: np.random.Generator, trials: int) -> int:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i not in touched and j not in touched:
-                    _check(abs(b[i - 1, j - 1] - a[i - 1, j - 1]) <= PATH,
+                    _check(abs(b[i - 1, j - 1] - a[i - 1, j - 1]) <= PATH_ATOL,
                            f"entry ({i},{j}) moved although outside the touched set")
                 elif i in touched and j not in touched and abs(a[k - 1, j - 1]) == 0:
-                    _check(abs(b[i - 1, j - 1]) <= PATH,
+                    _check(abs(b[i - 1, j - 1]) <= PATH_ATOL,
                            f"entry ({i},{j}) appeared without source row entry")
                 elif j in touched and i not in touched and abs(a[i - 1, k - 1]) == 0:
-                    _check(abs(b[i - 1, j - 1]) <= PATH,
+                    _check(abs(b[i - 1, j - 1]) <= PATH_ATOL,
                            f"entry ({i},{j}) appeared without source column entry")
         if any(t == 1.0 for t in ts):
-            _check(has_zero_cross(b, k, PATH), f"no zero cross created at {k}")
+            _check(has_zero_cross(b, k, PATH_ATOL), f"no zero cross created at {k}")
         checks += 1
     return checks
 
@@ -246,7 +244,7 @@ def _suite_block1(rng: np.random.Generator, trials: int) -> int:
             delta[z - 1] = rng.uniform(0.2, 0.95)
         delta[int(rng.choice(crossed)) - 1] = 1.0
         v, b = up.gather_once(a, k, delta, m_window)
-        _check(has_zero_cross(b, k, PATH), f"gather_once left no cross at {k}")
+        _check(has_zero_cross(b, k, PATH_ATOL), f"gather_once left no cross at {k}")
         _check(is_unitary(v), "gathering unitary is not unitary")
         # vacuous case: gate supported at k only
         vac = np.zeros(n)
@@ -277,8 +275,8 @@ def _suite_block2(rng: np.random.Generator, trials: int) -> int:
         r_before = diagonal_radius(a)
         v, b = up.gather_multi(a, delta, ks, m_window)
         for k in ks:
-            _check(has_zero_cross(b, k, PATH), f"missing cross at {k} (n={n}, M={m_window})")
-        _check(diagonal_radius(b, PATH) <= r_before + m_window - 1,
+            _check(has_zero_cross(b, k, PATH_ATOL), f"missing cross at {k} (n={n}, M={m_window})")
+        _check(diagonal_radius(b, PATH_ATOL) <= r_before + m_window - 1,
                f"radius grew past M-1 (n={n}, M={m_window})")
         checks += 1
     return checks
@@ -299,12 +297,12 @@ def _suite_condense(rng: np.random.Generator, trials: int, theta_samples: int = 
             v = path(float(th))
             _check(is_unitary(v), f"path value at theta={th} is not unitary")
             b = v @ a @ v.conj().T
-            _check(diagonal_radius(b, PATH) <= r_before + 2,
+            _check(diagonal_radius(b, PATH_ATOL) <= r_before + 2,
                    f"radius exceeded r(A)+2 at theta={th} (n={n}, zs={zs})")
         v1 = path(1.0)
         b1 = v1 @ a @ v1.conj().T
         for k in range(1, m + 1):
-            _check(has_zero_cross(b1, k, PATH),
+            _check(has_zero_cross(b1, k, PATH_ATOL),
                    f"endpoint misses cross at {k} (n={n}, zs={zs})")
         checks += 1
     return checks
@@ -328,7 +326,7 @@ def _suite_vn(rng: np.random.Generator, trials: int) -> int:
             d = b.shape[0]
             rhs[off:off + d, off:off + d] = b
             off += d
-        _check(float(np.max(np.abs(v - rhs))) <= PATH,
+        _check(float(np.max(np.abs(v - rhs))) <= PATH_ATOL,
                f"block decomposition residual above 1e-9 (n={n}, N={N}, theta={theta})")
         checks += 1
     return checks
@@ -450,7 +448,7 @@ def _suite_embed(rng: np.random.Generator, trials: int) -> int:
         for name, f in fives:
             lhs = dm.apply_diagonal_map(emb, dyn.generator_element_f(src, f, arity))
             rhs = dyn.generator_element_f(tgt, f, arity)
-            _check(dm.norm_dist(lhs, rhs) <= EXACT,
+            _check(dm.norm_dist(lhs, rhs) <= DEFAULT_ATOL,
                    f"f-generator '{name}' breaks the embedding {src.base} -> {tgt.base}")
             checks += 1
         for name, g in gs_for(src.base):
@@ -458,7 +456,7 @@ def _suite_embed(rng: np.random.Generator, trials: int) -> int:
             # g vanishes on the source cylinder, hence on the nested target one,
             # so the same shift-element presentation applies downstairs
             rhs = dyn.generator_element_ug(tgt, g, arity)
-            _check(dm.norm_dist(lhs, rhs) <= EXACT,
+            _check(dm.norm_dist(lhs, rhs) <= DEFAULT_ATOL,
                    f"shift-generator '{name}' breaks the embedding {src.base} -> {tgt.base}")
             checks += 1
     # composite map agrees with the two-step factorization on a generator
@@ -466,7 +464,7 @@ def _suite_embed(rng: np.random.Generator, trials: int) -> int:
     f = fives[2][1]
     lhs = dm.apply_diagonal_map(comp, dyn.generator_element_f(chain.towers[0], f, arity))
     rhs = dyn.generator_element_f(chain.towers[2], f, arity)
-    _check(dm.norm_dist(lhs, rhs) <= EXACT, "composite embedding breaks an f-generator")
+    _check(dm.norm_dist(lhs, rhs) <= DEFAULT_ATOL, "composite embedding breaks an f-generator")
     return checks + 1
 
 
@@ -528,15 +526,6 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResul
         return SuiteResult(name, False, 0, str(exc), time.perf_counter() - t0)
 
 
-def run_suites(names, seed: int = 0, trials: int | None = None,
-               max_workers: int = 4) -> list[SuiteResult]:
-    """Run suites on a small worker pool; trials within a suite stay
-    sequential on that suite's own generator, so reports are reproducible."""
-    names = list(names)
-    if max_workers <= 1 or len(names) <= 1:
-        return [run_suite(name, seed=seed, trials=trials) for name in names]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(run_suite, name, seed, trials) for name in names]
-        return [f.result() for f in futures]
+def run_suites(names, seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
+    """Run suites one after another, each on its own seeded generator."""
+    return [run_suite(name, seed=seed, trials=trials) for name in names]

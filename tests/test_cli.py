@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -98,6 +99,14 @@ def test_verify_reports_are_deterministic(capsys):
     assert norm1 == norm2
 
 
+def test_run_suites_times_add_up_to_wall():
+    t0 = time.perf_counter()
+    results = vf.run_suites(vf.SUITE_NAMES, seed=3, trials=1)
+    wall = time.perf_counter() - t0
+    assert [r.name for r in results] == list(vf.SUITE_NAMES)
+    assert sum(r.seconds for r in results) <= wall
+
+
 def test_verify_failing_suite_exits_3(capsys, monkeypatch):
     def broken(rng, trials):
         raise vf.CounterexampleFound("forced counterexample")
@@ -145,6 +154,23 @@ def test_pipeline_loads_element_from_file(tmp_path, capsys):
     blob = parse(out)
     assert blob["certificate"]["input_element"] == str(src)
     assert blob["certificate"]["summary"]["total_distance"] == pytest.approx(0.25 / 8)
+
+
+def test_pipeline_gathering_failure_exits_2(capsys, monkeypatch):
+    from dsh_lab import dsh_model as dm
+    from dsh_lab import srone_pipeline as sp
+
+    make_zero_cross = sp.make_zero_cross
+
+    def unrotated(e, eps):  # leaves the gate on a point without a zero cross
+        unit = dm.unit_element(e.model)
+        return dataclasses.replace(make_zero_cross(e, eps), left=unit, right=unit)
+
+    monkeypatch.setattr(sp, "make_zero_cross", unrotated)
+    code, out, err = run_cli(capsys, "pipeline", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert "windowed_gathering" in err and "no zero cross" in err
 
 
 def test_pipeline_depth_exhaustion(capsys):

@@ -170,26 +170,6 @@ def test_compose_expands_through_glued_middle_points(two_level_model):
     assert comp.lists[PointRef(1, "w")] == (PointRef(1, "a"), PointRef(1, "b"))
 
 
-def test_restrict_model_identity_and_drop(two_level_model, rng):
-    all_free = set(two_level_model.free_refs())
-    same = dm.restrict_model(two_level_model, all_free)
-    assert same == two_level_model
-    # c is referenced by no gluing list
-    smaller = dm.restrict_model(two_level_model, all_free - {PointRef(2, "c")})
-    assert smaller.free_refs() == (PointRef(1, "a"), PointRef(1, "b"))
-    assert smaller.glued_refs() == (PointRef(2, "g"),)
-    e = dm.random_element(two_level_model, rng)
-    restricted = dm.restrict_element(e, smaller)
-    for ref in smaller.all_refs():
-        assert np.array_equal(dm.eval_element(restricted, ref), dm.eval_element(e, ref))
-
-
-def test_restrict_model_names_missing_reference(two_level_model):
-    keep = set(two_level_model.free_refs()) - {PointRef(1, "b")}
-    with pytest.raises(ValueError, match="references dropped point PointRef\\(level=1, point='b'\\)"):
-        dm.restrict_model(two_level_model, keep)
-
-
 def test_indicator_level_one_only():
     m = FiniteDshModel((Level(4, (ModelPoint("x"), ModelPoint("y"))),))
     theta = dm.build_indicator(m, 2, (0,))
@@ -269,11 +249,11 @@ def test_soft_threshold_distance_and_patterns(two_level_model, rng):
 def test_norm_dist_and_invertibility(two_level_model, rng):
     e = dm.random_element(two_level_model, rng)
     assert dm.norm_dist(e, e) == 0.0
-    assert dm.is_invertible(dm.unit_element(two_level_model), 0.5)
+    assert dm.min_singular_over_points(dm.unit_element(two_level_model)) > 0.5
     vals = dict(dm.unit_element(two_level_model).values)
     vals[PointRef(2, "c")] = np.zeros((6, 6))
     singular = dm.Element(two_level_model, vals)
-    assert not dm.is_invertible(singular, 1e-9)
+    assert dm.min_singular_over_points(singular) <= 1e-9
 
 
 def test_simplicity_u_all_points(two_level_model):

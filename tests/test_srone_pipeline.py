@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,12 +110,42 @@ def test_propagate_degenerate_n1(fib_chain, rng):
         abs=1e-10)
 
 
+def test_propagate_gate_without_zero_cross_names_point(fib_chain, rng):
+    planted = plant(fib_chain.model(1), rng)
+    zc = sp.make_zero_cross(planted, 0.0625)
+    unit = dm.unit_element(fib_chain.model(1))
+    unrotated = dataclasses.replace(zc, left=unit, right=unit)  # gate set, no cross
+    with pytest.raises(sp.PipelineError,
+                       match=r"windowed_gathering.*PointRef\(level=\d+, point='\w+'\): "
+                             r"delta_\d+ > 0 but the matrix has no zero cross"):
+        sp.propagate_crosses(list(fib_chain.maps), 1, unrotated, N=1)
+
+
 def test_propagate_reports_required_depth(fib_chain, rng):
     planted = plant(fib_chain.model(1), rng)
     zc = sp.make_zero_cross(planted, 0.0625)
     with pytest.raises(sp.ChainTooShortError) as info:
         sp.propagate_crosses(list(fib_chain.maps), 1, zc)  # N = R+M+3 = 11
     assert info.value.required_n1 == 67
+
+
+def test_plan_chain_deepens_until_witness_and_n1():
+    # period doubling at horizon 2 has no simplicity witness at depth 3
+    pd = dyn.Substitution.from_json(
+        {"alphabet": ["0", "1"], "rules": {"0": "01", "1": "00"}, "seed": "0"})
+    bases = dyn.fibonacci_prefix_bases(pd, 14)
+    chain = dyn.build_cylinder_chain(pd, bases[:3], base_horizon=2, max_points_per_level=16)
+    planted = plant(chain.model(1), np.random.default_rng(12))
+    U = sp.make_zero_cross(planted, 0.25 / 4).points
+    assert dm.check_simplicity_condition(list(chain.maps), 1, U) == (False, None)
+
+    planned = sp.plan_chain(pd, chain, bases, planted, 0.25, 16, dyn.DEFAULT_SCAN_LENGTH)
+    holds, j_witness = dm.check_simplicity_condition(list(planned.maps), 1, U)
+    assert holds
+    models = [t.model for t in planned.towers]
+    *_, required = sp.gathering_parameters(models, 1, j_witness)
+    assert models[-1].smallest_dim >= required
+    assert models[-2].smallest_dim < required
 
 
 def test_open_block_points_bracket(two_level_model, rng):
@@ -157,7 +189,7 @@ def synthetic_condensation_fixture(rng, scale=0.01):
 def test_condense_and_triangulate_synthetic(rng):
     model, g_prime, M, N = synthetic_condensation_fixture(rng)
     starts = dm.block_starts(model)
-    v3, g_second = sp.condense_crosses(g_prime, M, N)
+    v3, g_second, _ = sp.condense_crosses(g_prime, M, N)
     for ref in model.all_refs():
         before = dm.eval_element(g_prime, ref)
         after = dm.eval_element(g_second, ref)
@@ -168,7 +200,7 @@ def test_condense_and_triangulate_synthetic(rng):
         assert mk.diagonal_radius(after, 1e-9) <= mk.diagonal_radius(before) + 2
     assert dm.norm_dist(g_second, dm.zero_element(model)) > 0
 
-    v4, t_el = sp.triangulate(g_second, N)
+    v4, t_el, _ = sp.triangulate(g_second, N)
     n_l = model.largest_dim
     for ref in model.all_refs():
         t_val = dm.eval_element(t_el, ref)
@@ -193,7 +225,7 @@ def test_condense_precondition_witness(rng):
 
 def test_triangulate_radius_witness(rng):
     model, g_prime, M, N = synthetic_condensation_fixture(rng)
-    _, g_second = sp.condense_crosses(g_prime, M, N)
+    _, g_second, _ = sp.condense_crosses(g_prime, M, N)
     vals = dict(g_second.values)
     wide = np.array(vals[PointRef(1, "a")])
     wide[21, 8] = 1.0  # far off-band entry away from the condensed crosses

@@ -141,6 +141,22 @@ def test_gather_multi_single_window_matches_gather_once(rng):
     assert np.array_equal(v1, v2)
     assert np.array_equal(b1, b2)
 
+    # several windows: the product of the single-window gathers of A
+    for n, m_window, ks, gates in (
+        (12, 3, [1, 5], {2: 1.0, 7: 1.0}),
+        (20, 4, [2, 6, 11, 16], {2: 0.4, 3: 1.0, 9: 1.0, 12: 0.7, 14: 1.0, 18: 1.0}),
+    ):
+        a = random_crossed_matrix(rng, n, sorted(gates))
+        delta = np.zeros(n)
+        for z, t in gates.items():
+            delta[z - 1] = t
+        product = np.eye(n, dtype=complex)
+        for k in ks:
+            product = up.gather_once(a, k, delta, m_window)[0] @ product
+        v, b = up.gather_multi(a, delta, ks, m_window)
+        assert np.array_equal(v, product)
+        assert np.array_equal(b, product @ a @ product.conj().T)
+
 
 def test_gather_multi_diagonal_and_radius(rng):
     d = np.diag(rng.standard_normal(12) + 1j)
