@@ -93,7 +93,7 @@ def _cmd_return_words(args) -> int:
     s = _load_substitution(args.substitution)
     try:
         words = dyn.return_words(s, args.word, args.scan_length)
-    except dyn.ScanError as exc:
+    except ValueError as exc:  # ScanError, or a scan too short for the word
         raise DomainError(str(exc)) from exc
     report = {
         "command": "return-words",
@@ -169,13 +169,19 @@ def _cmd_pipeline(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.epsilon <= 0:
         raise UsageError(f"epsilon must be positive, got {args.epsilon}")
+    if args.max_depth < 2:
+        # a chain needs one embedding map before any element can be pushed along it
+        raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")
     s = _load_substitution(args.substitution)
     rng = np.random.default_rng(seed)
     bases = dyn.fibonacci_prefix_bases(s, args.max_depth)
-    chain = dyn.build_cylinder_chain(s, bases[:min(3, args.max_depth)],
-                                     base_horizon=args.horizon,
-                                     max_points_per_level=args.max_points,
-                                     L_scan=args.scan_length)
+    try:
+        chain = dyn.build_cylinder_chain(s, bases[:min(3, args.max_depth)],
+                                         base_horizon=args.horizon,
+                                         max_points_per_level=args.max_points,
+                                         L_scan=args.scan_length)
+    except ValueError as exc:  # ScanError, or a scan too short for the bases
+        raise DomainError(str(exc)) from exc
     if args.element:
         if not os.path.exists(args.element):
             raise UsageError(f"element file not found: {args.element}")
@@ -192,6 +198,9 @@ def _cmd_pipeline(args) -> int:
     try:
         chain = plan_chain(s, chain, bases, planted, args.epsilon,
                            args.max_points, args.scan_length)
+    except (PipelineError, ValueError) as exc:  # ValueError: a failed extension
+        raise DomainError(str(exc)) from exc
+    try:
         _, cert = approximate_by_invertible(list(chain.maps), planted,
                                             args.epsilon, j=1, input_id=input_id)
     except PipelineError as exc:

@@ -105,14 +105,6 @@ class FiniteDshModel:
             if not p.is_glued
         )
 
-    def glued_refs(self) -> tuple[PointRef, ...]:
-        return tuple(
-            PointRef(i, p.id)
-            for i, lvl in enumerate(self.levels, start=1)
-            for p in lvl.points
-            if p.is_glued
-        )
-
     def all_refs(self) -> tuple[PointRef, ...]:
         return tuple(
             PointRef(i, p.id) for i, lvl in enumerate(self.levels, start=1) for p in lvl.points
@@ -345,9 +337,6 @@ class DiagonalMap:
                     f"eigenvalue list at {tref} sums to dimension {total}, expected {want}"
                 )
 
-    def list_at(self, tref: PointRef) -> tuple[PointRef, ...]:
-        return tuple(self.lists[tref])
-
 
 def identity_shaped_map(source: FiniteDshModel, target: FiniteDshModel,
                         pairing: Mapping[PointRef, PointRef]) -> DiagonalMap:
@@ -368,7 +357,7 @@ def _expanded_list(d: DiagonalMap, ref: PointRef) -> tuple[PointRef, ...]:
     """The eigenvalue list of any target point, free or glued."""
     p = d.target.point(ref)
     if not p.is_glued:
-        return d.list_at(ref)
+        return tuple(d.lists[ref])
     out: list[PointRef] = []
     for sub in p.gluing:
         out.extend(_expanded_list(d, sub))

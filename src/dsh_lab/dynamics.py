@@ -11,6 +11,7 @@ factoring inner return words over outer ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -58,7 +59,7 @@ class Substitution:
             raise ValueError("substitution is not primitive")
 
     def apply(self, word: str) -> str:
-        return "".join(self.rules[c] for c in word)
+        return word.translate(str.maketrans(self.rules))
 
     def incidence_matrix(self) -> np.ndarray:
         k = len(self.alphabet)
@@ -95,8 +96,10 @@ class Substitution:
         return {"alphabet": list(self.alphabet), "rules": dict(self.rules), "seed": self.seed}
 
 
+@functools.cache
 def fixed_point_prefix(s: Substitution, L: int) -> str:
-    """The length-L prefix of the substitution fixed point."""
+    """The length-L prefix of the substitution fixed point, computed once
+    per (substitution, length)."""
     if L < 1:
         raise ValueError("prefix length must be positive")
     w = s.seed
@@ -219,74 +222,63 @@ def build_tower_model(s: Substitution, w: str, horizon: int,
     )
 
 
-@dataclass(frozen=True)
-class FactorizationMap:
-    """Each return word to [inner] factored over the return words to [outer]."""
+def factorize_returns(outer: TowerModel, inner: TowerModel) -> dict[str, tuple[str, ...]]:
+    """Factor every return word of the inner tower at its occurrences of the
+    outer tower's base.
 
-    outer: str
-    inner: str
-    factors: Mapping[str, tuple[str, ...]] = field(hash=False)
-
-
-def factorize_returns(s: Substitution, w: str, w_inner: str,
-                      L_scan: int = DEFAULT_SCAN_LENGTH) -> FactorizationMap:
-    """Factor every return word to [w_inner] at its occurrences of w.
-
-    w must be a proper prefix of w_inner. The factor boundaries are exactly
-    the occurrence positions of w inside the return word (continued by
-    w_inner, which starts with w), so the factorization is unique; every
-    factor must itself be a return word to [w].
+    The outer base w must be a proper prefix of the inner base. The factor
+    boundaries are exactly the occurrence positions of w inside the return
+    word (continued by the inner base, which starts with w), so the
+    factorization is unique; every factor must itself be a return word of
+    the outer tower.
     """
+    w, w_inner = outer.base, inner.base
     if not w_inner.startswith(w) or w_inner == w:
         raise ValueError("the outer base must be a proper prefix of the inner base")
-    outer_set = set(return_words(s, w, L_scan))
-    inner = return_words(s, w_inner, L_scan)
+    outer_set = {r for _, words in outer.return_time_words for r in words}
     factors: dict[str, tuple[str, ...]] = {}
-    for rw in inner:
-        extended = rw + w_inner
-        cuts = [p for p in occurrences(extended, w) if p < len(rw)]
-        if cuts[0] != 0:
-            raise ScanError(f"return word '{rw}' does not begin with '{w}'")
-        cuts.append(len(rw))
-        parts = tuple(rw[a:b] for a, b in zip(cuts, cuts[1:]))
-        for part in parts:
-            if part not in outer_set:
-                raise ScanError(
-                    f"factor '{part}' of '{rw}' is not a known return word to '{w}'; "
-                    f"rescan with a larger L_scan"
-                )
-        factors[rw] = parts
-    return FactorizationMap(w, w_inner, factors)
+    for _, words in inner.return_time_words:
+        for rw in words:
+            extended = rw + w_inner
+            cuts = [p for p in occurrences(extended, w) if p < len(rw)]
+            if cuts[0] != 0:
+                raise ScanError(f"return word '{rw}' does not begin with '{w}'")
+            cuts.append(len(rw))
+            parts = tuple(rw[a:b] for a, b in zip(cuts, cuts[1:]))
+            for part in parts:
+                if part not in outer_set:
+                    raise ScanError(
+                        f"factor '{part}' of '{rw}' is not a known return word to '{w}'; "
+                        f"rescan with a larger L_scan"
+                    )
+            factors[rw] = parts
+    return factors
 
 
-def embedding_map(fmap: FactorizationMap, source: TowerModel, target: TowerModel) -> DiagonalMap:
+def embedding_map(source: TowerModel, target: TowerModel) -> DiagonalMap:
     """The diagonal embedding of the outer tower algebra into the inner one.
 
     A target point (a word z of level return time q) maps to the ordered
     list of source points representing z, shift^{S_1}(z), ...,
-    shift^{S_{s-1}}(z), where the S_j are the partial sums of its return
-    word's factor lengths.
+    shift^{S_{s-1}}(z), where the S_j are the partial sums of the lengths of
+    its return word's factors (``factorize_returns``).
     """
     if source.substitution != target.substitution:
         raise ValueError("towers come from different substitutions")
-    if source.base != fmap.outer or target.base != fmap.inner:
-        raise ValueError("factorization map does not match the towers' bases")
     if target.horizon < source.horizon + source.max_return_time:
         raise ValueError(
             f"target horizon {target.horizon} < source horizon {source.horizon} "
             f"+ max source return time {source.max_return_time}"
         )
+    factors = factorize_returns(source, target)
     lists: dict[PointRef, tuple[PointRef, ...]] = {}
     for tref in target.model.free_refs():
         word = tref.point
         q = target.model.dim(tref.level)
         rw = word[:q]
-        if rw not in fmap.factors:
-            raise KeyError(f"return word '{rw}' missing from the factorization map")
-        parts = fmap.factors[rw]
         entries: list[PointRef] = []
         offset = 0
-        for part in parts:
+        for part in factors[rw]:
             n = len(part)
             if word[offset:offset + n] != part:
                 raise ScanError(f"factorization of '{rw}' does not match the sampled word")
@@ -378,39 +370,31 @@ def build_cylinder_chain(s: Substitution, bases: Sequence[str], base_horizon: in
                          L_scan: int = DEFAULT_SCAN_LENGTH) -> CylinderChain:
     """Towers over nested bases, with horizons chosen so embeddings exist.
 
-    Each base must be a proper prefix of the next. The first horizon
-    defaults to |bases[0]|; later horizons are the previous horizon plus the
-    previous tower's largest return time (and at least the base length).
+    The first horizon defaults to |bases[0]|; each later base is appended
+    by ``extend_cylinder_chain``.
     """
-    for a, b in zip(bases, bases[1:]):
-        if not b.startswith(a) or a == b:
-            raise ValueError(f"bases must be strictly nested prefixes; '{a}' then '{b}'")
-    towers: list[TowerModel] = []
-    maps: list[DiagonalMap] = []
     h = max(base_horizon or 0, len(bases[0]))
-    for idx, base in enumerate(bases):
-        if idx > 0:
-            h = max(h + towers[-1].max_return_time, len(base))
-        tower = build_tower_model(s, base, h, max_points_per_level, L_scan)
-        if idx > 0:
-            fmap = factorize_returns(s, bases[idx - 1], base, L_scan)
-            maps.append(embedding_map(fmap, towers[-1], tower))
-        towers.append(tower)
-    return CylinderChain(tuple(towers), tuple(maps))
+    chain = CylinderChain((build_tower_model(s, bases[0], h, max_points_per_level, L_scan),), ())
+    for base in bases[1:]:
+        chain = extend_cylinder_chain(s, chain, base, max_points_per_level, L_scan)
+    return chain
 
 
 def extend_cylinder_chain(s: Substitution, chain: CylinderChain, base: str,
                           max_points_per_level: int = 32,
                           L_scan: int = DEFAULT_SCAN_LENGTH) -> CylinderChain:
-    """Append one deeper stage to an existing chain."""
+    """Append one deeper stage to an existing chain.
+
+    The base must strictly extend the last base. Its horizon is the last
+    horizon plus the last tower's largest return time (and at least the base
+    length), which is what ``embedding_map`` needs.
+    """
     prev = chain.towers[-1]
     if not base.startswith(prev.base) or base == prev.base:
-        raise ValueError(f"'{base}' does not extend the last base '{prev.base}'")
+        raise ValueError(f"bases must be strictly nested prefixes; '{prev.base}' then '{base}'")
     h = max(prev.horizon + prev.max_return_time, len(base))
     tower = build_tower_model(s, base, h, max_points_per_level, L_scan)
-    fmap = factorize_returns(s, prev.base, base, L_scan)
-    emb = embedding_map(fmap, prev, tower)
-    return CylinderChain(chain.towers + (tower,), chain.maps + (emb,))
+    return CylinderChain(chain.towers + (tower,), chain.maps + (embedding_map(prev, tower),))
 
 
 def prefix_length_schedule(count: int) -> list[int]:

@@ -224,8 +224,4 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     rows = obj["entries"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("entries do not match declared dimension")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, (re, im) in enumerate(row):
-            out[i, j] = complex(re, im)
-    return _frozen(out)
+    return as_matrix([[complex(re, im) for re, im in row] for row in rows])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -239,52 +239,49 @@ class PropagationStage:
     predicates: list[Predicate] = field(default_factory=list)
 
 
-def gathering_parameters(models: list[FiniteDshModel], j: int, j_witness: int,
-                         N: int | None = None) -> tuple[int, int, int, int]:
-    """(M, N, R, required n_1) for gathering from stage j with witness j_witness.
+def gathering_plan(chain: list[DiagonalMap], j: int, U: Collection[PointRef],
+                   N: int | None = None) -> tuple[int, int, int, int, int]:
+    """(j_witness, j', M, N, R) for gathering the crosses at U from stage j.
 
-    M is twice the witness stage's largest dimension, R the largest
-    dimension at stage j, N defaults to R+M+3, and the gathering stage needs
-    smallest dimension at least NM+1.
+    j_witness is the first simplicity witness stage for U (every point there
+    sees U through its eigenvalue list), M is twice its largest dimension, R
+    the largest dimension at stage j, N defaults to R+M+3, and j' is the
+    first later stage whose smallest dimension is at least NM+1. Raises
+    SimplicityError without a witness and ChainTooShortError without j'.
     """
+    models = chain_models(chain)
+    holds, j_witness = check_simplicity_condition(chain, j, U)
+    if not holds:
+        raise SimplicityError(f"chain exhausted at depth {len(models)}: no stage is "
+                              f"a simplicity witness for U={sorted(U)}")
     M = 2 * models[j_witness - 1].largest_dim
     R = models[j - 1].largest_dim
     if N is None:
         N = R + M + 3
-    return M, N, R, N * M + 1
+    required = N * M + 1
+    for jp in range(j_witness + 1, len(models) + 1):
+        if models[jp - 1].smallest_dim >= required:
+            return j_witness, jp, M, N, R
+    raise ChainTooShortError(
+        required,
+        f"chain exhausted at depth {len(models)}: need a stage with smallest "
+        f"dimension >= {required} (N={N}, M={M})",
+    )
 
 
 def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
                       N: int | None = None) -> PropagationStage:
     """Push the zero cross down the chain until it recurs every M entries.
 
-    Finds the simplicity witness stage for U (every point there sees the
-    cross through its eigenvalue list), sets M, N and R by
-    ``gathering_parameters``, and picks the first later stage whose smallest
-    dimension is at least NM+1. At every free point of that stage,
+    ``gathering_plan`` picks the simplicity witness stage for U, M, N, R and
+    the gathering stage j'. At every free point of stage j',
     ``gather_multi`` gathers the mapped cross gate into the windows that the
     indicator marks (1s at k+aM over each block start k).
     """
     models = chain_models(chain)
     if not (1 <= j <= len(models)) or zc.element.model != models[j - 1]:
         raise ValueError("stage data does not sit at chain position j")
-    holds, j_witness = check_simplicity_condition(chain, j, zc.points)
-    if not holds:
-        raise SimplicityError(
-            f"simplicity condition fails: no chain stage meets U={sorted(zc.points)}"
-        )
-    M, N, R, required = gathering_parameters(models, j, j_witness, N)
-    jp = None
-    for idx in range(j_witness + 1, len(models) + 1):
-        if models[idx - 1].smallest_dim >= required:
-            jp = idx
-            break
-    if jp is None:
-        raise ChainTooShortError(
-            required,
-            f"chain exhausted: need a stage with smallest dimension >= {required} "
-            f"(N={N}, M={M}); deepen the chain",
-        )
+    j_witness, jp, M, N, R = gathering_plan(chain, j, zc.points, N)
     model_jp = models[jp - 1]
     phi = compose_chain(chain, j, jp)
     delta_p = apply_diagonal_map(phi, zc.delta)
@@ -577,34 +574,24 @@ def plan_chain(s: Substitution, chain: CylinderChain, bases: Sequence[str], a: E
     """Deepen ``chain`` along ``bases`` until ``approximate_by_invertible``
     can run on ``a`` (an element at stage 1) in one attempt.
 
-    The chain grows one base at a time until some stage is a simplicity
-    witness for the point that make_zero_cross rotates, and the last stage's
-    smallest dimension reaches the n_1 that ``gathering_parameters``
-    requires. An invertible ``a`` needs no deepening. Once ``bases`` is used
-    up this raises SimplicityError or ChainTooShortError.
+    The chain grows one base at a time until ``gathering_plan`` succeeds for
+    the point that make_zero_cross rotates; ``chain`` needs at least two
+    stages. An invertible ``a`` needs no deepening. Once ``bases`` is used
+    up, the last SimplicityError or ChainTooShortError is raised again.
     """
     if find_singular_point(a, INVERTIBLE_TOL) is None:
         return chain
     # eps/4 is the budget approximate_by_invertible gives make_zero_cross
     U = {_zero_cross_point(a, eps / 4)}
-    j_witness = None
     while True:
-        if j_witness is None and chain.maps:
-            _, j_witness = check_simplicity_condition(list(chain.maps), 1, U)
-        if j_witness is not None:
-            models = [t.model for t in chain.towers]
-            M, N, _, required = gathering_parameters(models, 1, j_witness)
-            if models[-1].smallest_dim >= required:
-                return chain
-        if chain.depth >= len(bases):
-            break
+        try:
+            gathering_plan(list(chain.maps), 1, U)
+            return chain
+        except (SimplicityError, ChainTooShortError):
+            if chain.depth >= len(bases):
+                raise
         chain = extend_cylinder_chain(s, chain, bases[chain.depth],
                                       max_points_per_level, L_scan)
-    exhausted = f"chain depth {len(bases)} exhausted"
-    if j_witness is None:
-        raise SimplicityError(f"{exhausted}: no chain stage meets U={sorted(U)}")
-    raise ChainTooShortError(required, f"{exhausted}: need a stage with smallest "
-                                       f"dimension >= {required} (N={N}, M={M})")
 
 
 def plant_singular_element(model: FiniteDshModel, rng: np.random.Generator,

@@ -212,3 +212,34 @@ def test_console_script_help_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "return-words" in proc.stdout
+
+
+def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
+    from dsh_lab import dsh_model as dm
+    from dsh_lab import dynamics as dyn
+
+    fib = dyn.Substitution.fibonacci()
+    stage1 = dyn.build_tower_model(fib, "0", 1, max_points_per_level=16)
+    blob = dm.element_to_json(dm.zero_element(stage1.model))
+    next(iter(blob["values"].values()))["entries"][0][0] = [float("nan"), 0.0]
+    src = tmp_path / "element.json"
+    src.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "pipeline", "--element", str(src))
+    assert code == 1
+    assert out == ""
+    assert "invalid element file" in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("pipeline", "--max-depth", "0"), 1, "max-depth"),
+    (("pipeline", "--max-depth", "-2"), 1, "max-depth"),
+    (("pipeline", "--max-depth", "1"), 1, "max-depth"),
+    (("pipeline", "--max-points", "0"), 2, "no sampled points"),
+    (("pipeline", "--scan-length", "5"), 2, "too short"),
+    (("return-words", "--word", "0101", "--scan-length", "5"), 2, "too short"),
+])
+def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("dsh-lab: ") and message in err

@@ -39,6 +39,13 @@ def test_fixed_point_prefix_values(fib, tm):
         dyn.fixed_point_prefix(fib, 0)
 
 
+def test_fixed_point_prefix_cache_is_keyed_by_rules(fib, tm):
+    # all three share alphabet and seed, so they hash alike and differ only in rules
+    pd = dyn.Substitution(("0", "1"), {"0": "01", "1": "00"}, "0")
+    prefixes = [dyn.fixed_point_prefix(s, 8) for s in (fib, tm, pd)]
+    assert prefixes == ["01001010", "01101001", "01000101"]
+
+
 def test_return_words_fibonacci_oracle(fib):
     assert dyn.return_words(fib, "0", 10_000) == ["0", "01"]
     assert dyn.return_words(fib, "01", 10_000) == ["01", "010"]
@@ -63,7 +70,7 @@ def test_build_tower_model_fibonacci(fib):
     assert tower.return_times == (1, 2)
     assert [lvl.dim for lvl in tower.model.levels] == [1, 2]
     assert dm.validate_model(tower.model).ok
-    assert not tower.model.glued_refs()
+    assert tower.model.free_refs() == tower.model.all_refs()
     for ref in tower.model.free_refs():
         word = tower.point_word(ref)
         n = tower.model.dim(ref.level)
@@ -91,16 +98,18 @@ def test_build_tower_model_horizon_check(fib):
 
 
 def test_factorize_returns_fibonacci(fib):
-    fmap = dyn.factorize_returns(fib, "0", "01")
-    assert fmap.factors["01"] == ("01",)
-    assert fmap.factors["010"] == ("01", "0")
+    factors = dyn.factorize_returns(dyn.build_tower_model(fib, "0", 1),
+                                    dyn.build_tower_model(fib, "01", 2))
+    assert factors["01"] == ("01",)
+    assert factors["010"] == ("01", "0")
 
 
 def test_factorize_rejects_degenerate_pair(fib):
+    t0, t01 = dyn.build_tower_model(fib, "0", 2), dyn.build_tower_model(fib, "01", 2)
     with pytest.raises(ValueError, match="proper prefix"):
-        dyn.factorize_returns(fib, "01", "01")
+        dyn.factorize_returns(t01, t01)
     with pytest.raises(ValueError, match="proper prefix"):
-        dyn.factorize_returns(fib, "01", "0")
+        dyn.factorize_returns(t01, t0)
 
 
 def test_embedding_map_lists(fib):
@@ -120,14 +129,14 @@ def test_embedding_map_horizon_precondition(fib):
     src = dyn.build_tower_model(fib, "0", 3)
     tgt = dyn.build_tower_model(fib, "01", 4)  # needs >= 3 + 2
     with pytest.raises(ValueError, match="horizon"):
-        dyn.embedding_map(dyn.factorize_returns(fib, "0", "01"), src, tgt)
+        dyn.embedding_map(src, tgt)
 
 
 def test_embedding_map_missing_representative(fib):
     src = dyn.build_tower_model(fib, "0", 4, max_points_per_level=1)
     tgt = dyn.build_tower_model(fib, "01", 6)
     with pytest.raises(KeyError, match="no source representative"):
-        dyn.embedding_map(dyn.factorize_returns(fib, "0", "01"), src, tgt)
+        dyn.embedding_map(src, tgt)
 
 
 def test_eval_generator_f_basics(fib):
@@ -233,8 +242,9 @@ def test_return_words_010_matches_inline_scan(fib):
 
 
 def test_factor_partial_sums_are_occurrence_positions(fib):
-    fmap = dyn.factorize_returns(fib, "0", "0100101")
-    for rw, parts in fmap.factors.items():
+    factors = dyn.factorize_returns(dyn.build_tower_model(fib, "0", 1),
+                                    dyn.build_tower_model(fib, "0100101", 7))
+    for rw, parts in factors.items():
         assert "".join(parts) == rw
         sums = [0]
         for part in parts[:-1]:
@@ -246,8 +256,7 @@ def test_factor_partial_sums_are_occurrence_positions(fib):
 def test_composed_chain_maps_equal_direct_factorization(fib):
     chain = dyn.build_cylinder_chain(fib, ["0", "01", "0100101"], base_horizon=1)
     composed = dm.compose_diagonal_maps(chain.maps[1], chain.maps[0])
-    direct = dyn.embedding_map(dyn.factorize_returns(fib, "0", "0100101"),
-                               chain.towers[0], chain.towers[2])
+    direct = dyn.embedding_map(chain.towers[0], chain.towers[2])
     assert composed.lists == direct.lists
 
 
@@ -257,6 +266,7 @@ def test_chain_construction_and_extension(fib):
     extended = dyn.extend_cylinder_chain(fib, partial, "010")
     assert extended.towers[-1].model == full.towers[-1].model
     assert [t.horizon for t in extended.towers] == [t.horizon for t in full.towers]
+    assert [m.lists for m in extended.maps] == [m.lists for m in full.maps]
 
 
 def test_chain_rejects_non_nested_bases(fib):

@@ -142,10 +142,11 @@ def test_plan_chain_deepens_until_witness_and_n1():
     planned = sp.plan_chain(pd, chain, bases, planted, 0.25, 16, dyn.DEFAULT_SCAN_LENGTH)
     holds, j_witness = dm.check_simplicity_condition(list(planned.maps), 1, U)
     assert holds
+    j_plan, jp, M, N, _ = sp.gathering_plan(list(planned.maps), 1, U)
+    assert (j_plan, jp) == (j_witness, planned.depth)
     models = [t.model for t in planned.towers]
-    *_, required = sp.gathering_parameters(models, 1, j_witness)
-    assert models[-1].smallest_dim >= required
-    assert models[-2].smallest_dim < required
+    assert models[-1].smallest_dim >= N * M + 1
+    assert models[-2].smallest_dim < N * M + 1
 
 
 def test_open_block_points_bracket(two_level_model, rng):
