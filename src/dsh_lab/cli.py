@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -137,6 +138,8 @@ def _cmd_build_model(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"trials must be at least 1, got {args.trials}")
     names = list(vf.SUITE_NAMES) if args.suites == "all" else [
         s.strip() for s in args.suites.split(",") if s.strip()]
     for name in names:
@@ -167,16 +170,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.epsilon <= 0:
-        raise UsageError(f"epsilon must be positive, got {args.epsilon}")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise UsageError(f"epsilon must be finite and positive, got {args.epsilon}")
     if args.max_depth < 2:
         # a chain needs one embedding map before any element can be pushed along it
         raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")
     s = _load_substitution(args.substitution)
     rng = np.random.default_rng(seed)
-    bases = dyn.fibonacci_prefix_bases(s, args.max_depth)
+    bases = dyn.fibonacci_prefix_bases(s, min(3, args.max_depth))
     try:
-        chain = dyn.build_cylinder_chain(s, bases[:min(3, args.max_depth)],
+        chain = dyn.build_cylinder_chain(s, bases,
                                          base_horizon=args.horizon,
                                          max_points_per_level=args.max_points,
                                          L_scan=args.scan_length)
@@ -196,7 +199,7 @@ def _cmd_pipeline(args) -> int:
         input_id = "planted"
     t0 = time.perf_counter()
     try:
-        chain = plan_chain(s, chain, bases, planted, args.epsilon,
+        chain = plan_chain(s, chain, args.max_depth, planted, args.epsilon,
                            args.max_points, args.scan_length)
     except (PipelineError, ValueError) as exc:  # ValueError: a failed extension
         raise DomainError(str(exc)) from exc

@@ -457,8 +457,16 @@ def build_indicator(m: FiniteDshModel, M: int, K: Sequence[int], F=None) -> Elem
     return theta
 
 
+def shrink(v: np.ndarray, delta: float) -> np.ndarray:
+    """Entrywise z -> z * max(0, |z| - delta) / |z| of one matrix."""
+    mag = np.abs(v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = np.maximum(0.0, 1.0 - delta / mag)
+    return v * np.where(np.isfinite(factor), factor, 0.0)
+
+
 def soft_threshold(e: Element, delta: float) -> Element:
-    """Entrywise z -> z * max(0, |z| - delta) / |z|.
+    """``shrink`` at every free point.
 
     Shrinks every entry toward zero by delta in modulus, zeroing anything of
     modulus <= delta; zero patterns (crosses, block points, bandwidth) can
@@ -466,14 +474,7 @@ def soft_threshold(e: Element, delta: float) -> Element:
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-
-    def g(v: np.ndarray) -> np.ndarray:
-        mag = np.abs(v)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            factor = np.maximum(0.0, 1.0 - delta / mag)
-        return v * np.where(np.isfinite(factor), factor, 0.0)
-
-    return e.map_values(g)
+    return e.map_values(lambda v: shrink(v, delta))
 
 
 def norm_dist(e1: Element, e2: Element) -> float:

@@ -22,6 +22,11 @@ DEFAULT_ATOL = 1e-12
 PATH_ATOL = 1e-9
 # Unitarity slack for constructed path values.
 UNITARY_ATOL = 1e-10
+# Relative margin by which a norm bound must clear the threshold in
+# ``norm_below`` before it decides. The bounds and the SVD's largest singular
+# value are each computed to within about n*u (u = 1.1e-16) of the exact
+# values, far inside this margin, so a decided answer equals the SVD's.
+NORM_BOUND_GUARD = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -182,6 +187,28 @@ def op_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     a = np.asarray(a, dtype=np.complex128)
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def norm_below(mats: Iterable[np.ndarray], bound: float) -> bool:
+    """True iff op_norm(a) < bound for every a in mats.
+
+    Each matrix is decided by the norm inequalities (Golub & Van Loan 2.3)
+    largest row or column 2-norm <= ||A||_2 <= min(sqrt(||A||_1 ||A||_inf),
+    ||A||_F); only a matrix whose bounds straddle ``bound`` goes through
+    op_norm, after every other matrix has been checked.
+    """
+    undecided = []
+    for a in mats:
+        mag = np.abs(a)
+        sq = mag * mag
+        lower = np.sqrt(max(np.max(sq.sum(axis=0)), np.max(sq.sum(axis=1))))
+        if lower > bound * (1.0 + NORM_BOUND_GUARD):
+            return False
+        upper = min(np.sqrt(np.max(mag.sum(axis=0)) * np.max(mag.sum(axis=1))),
+                    np.sqrt(sq.sum()))
+        if not upper < bound * (1.0 - NORM_BOUND_GUARD):
+            undecided.append(a)
+    return all(op_norm(a) < bound for a in undecided)
 
 
 def min_singular_value(a: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Collection
 
 import numpy as np
 
@@ -33,10 +33,16 @@ from .dsh_model import (
     min_singular_over_points,
     norm_dist,
     scalar_element,
+    shrink,
     soft_threshold,
     unit_element,
 )
-from .dynamics import CylinderChain, Substitution, extend_cylinder_chain
+from .dynamics import (
+    CylinderChain,
+    Substitution,
+    extend_cylinder_chain,
+    fibonacci_prefix_bases,
+)
 from .matrixkit import (
     DEFAULT_ATOL,
     PATH_ATOL,
@@ -47,6 +53,7 @@ from .matrixkit import (
     has_zero_cross,
     is_strictly_lower_triangular,
     min_singular_value,
+    norm_below,
     perm_matrix,
 )
 from .unitary_paths import condense_path, gather_multi, v_n
@@ -328,32 +335,37 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     Returns (thresholded element, delta, measured distance). The bracket
     comes from the per-point bound distance <= delta * n_l, so delta at
     least eps/n_l is always available; the binary search pushes it up to
-    where the measured distance would reach eps (or everything is zeroed).
+    where the distance would reach eps (or everything is zeroed). Each step
+    asks ``norm_below`` whether every per-point difference stays under eps,
+    so an SVD runs only where the norm bounds cannot decide; the search
+    stops once the midpoint no longer splits the bracket, when no later step
+    could move lo.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     n_l = g.model.largest_dim
 
-    def dist_at(delta: float) -> float:
-        return norm_dist(g, soft_threshold(g, delta))
+    def below_eps(delta: float) -> bool:
+        return norm_below([v - shrink(v, delta) for v in g.values.values()], eps)
 
     lo = eps / n_l
-    while dist_at(lo) >= eps:
+    while not below_eps(lo):
         lo /= 2.0
     max_mod = max((float(np.max(np.abs(v))) if v.size else 0.0) for v in g.values.values())
     hi = max_mod + eps / n_l
-    if dist_at(hi) < eps:
+    if below_eps(hi):
         lo = hi
     else:
         for _ in range(60):
             mid = (lo + hi) / 2
-            if dist_at(mid) < eps:
+            if not lo < mid < hi:
+                break
+            if below_eps(mid):
                 lo = mid
             else:
                 hi = mid
-    delta = lo
-    out = soft_threshold(g, delta)
-    return out, delta, dist_at(delta)
+    out = soft_threshold(g, lo)
+    return out, lo, norm_dist(g, out)
 
 
 def condense_crosses(g_prime: Element, M: int, N: int,
@@ -569,15 +581,18 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     return a_prime, cert
 
 
-def plan_chain(s: Substitution, chain: CylinderChain, bases: Sequence[str], a: Element,
+def plan_chain(s: Substitution, chain: CylinderChain, max_depth: int, a: Element,
                eps: float, max_points_per_level: int, L_scan: int) -> CylinderChain:
-    """Deepen ``chain`` along ``bases`` until ``approximate_by_invertible``
-    can run on ``a`` (an element at stage 1) in one attempt.
+    """Deepen ``chain`` along the Fibonacci-spaced prefix bases until
+    ``approximate_by_invertible`` can run on ``a`` (an element at stage 1)
+    in one attempt.
 
     The chain grows one base at a time until ``gathering_plan`` succeeds for
     the point that make_zero_cross rotates; ``chain`` needs at least two
-    stages. An invertible ``a`` needs no deepening. Once ``bases`` is used
-    up, the last SimplicityError or ChainTooShortError is raised again.
+    stages. Each base is built only when the chain grows to it. An
+    invertible ``a`` needs no deepening. Once the chain reaches
+    ``max_depth``, the last SimplicityError or ChainTooShortError is raised
+    again.
     """
     if find_singular_point(a, INVERTIBLE_TOL) is None:
         return chain
@@ -588,10 +603,10 @@ def plan_chain(s: Substitution, chain: CylinderChain, bases: Sequence[str], a: E
             gathering_plan(list(chain.maps), 1, U)
             return chain
         except (SimplicityError, ChainTooShortError):
-            if chain.depth >= len(bases):
+            if chain.depth >= max_depth:
                 raise
-        chain = extend_cylinder_chain(s, chain, bases[chain.depth],
-                                      max_points_per_level, L_scan)
+        base = fibonacci_prefix_bases(s, chain.depth + 1)[-1]
+        chain = extend_cylinder_chain(s, chain, base, max_points_per_level, L_scan)
 
 
 def plant_singular_element(model: FiniteDshModel, rng: np.random.Generator,

@@ -99,6 +99,14 @@ def test_verify_reports_are_deterministic(capsys):
     assert norm1 == norm2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert "trials" in err
+
+
 def test_run_suites_times_add_up_to_wall():
     t0 = time.perf_counter()
     results = vf.run_suites(vf.SUITE_NAMES, seed=3, trials=1)
@@ -119,9 +127,11 @@ def test_verify_failing_suite_exits_3(capsys, monkeypatch):
     assert "forced" in report["suites"]["conj"]["first_counterexample"]
 
 
-def test_pipeline_rejects_zero_epsilon(capsys):
-    code, _, err = run_cli(capsys, "pipeline", "--epsilon", "0")
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_pipeline_rejects_zero_epsilon(capsys, epsilon):
+    code, out, err = run_cli(capsys, "pipeline", "--epsilon", epsilon)
     assert code == 1
+    assert out == ""
     assert "positive" in err
 
 
@@ -177,6 +187,14 @@ def test_pipeline_depth_exhaustion(capsys):
     code, _, err = run_cli(capsys, "pipeline", "--epsilon", "0.25", "--max-depth", "4")
     assert code == 2
     assert "exhausted" in err
+
+
+def test_pipeline_deep_max_depth_builds_only_the_planned_chain(capsys):
+    # the chain stops near depth 11; a base of depth 60 would be 2.5e12 characters
+    code14, out14, _ = run_cli(capsys, "pipeline", "--max-depth", "14", "--seed", "5")
+    code60, out60, _ = run_cli(capsys, "pipeline", "--max-depth", "60", "--seed", "5")
+    assert code14 == code60 == 0
+    assert strip_timing(parse(out60)) == strip_timing(parse(out14))
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

@@ -139,3 +139,60 @@ def test_matrix_json_round_trip_exact(rng):
 def test_matrix_json_rejects_mismatched_dims():
     with pytest.raises(ValueError):
         mk.matrix_from_json({"n": 2, "entries": [[[0.0, 0.0]]]})
+
+
+def _svd_below(mats, bound):
+    return all(mk.op_norm(a) < bound for a in mats)
+
+
+def test_norm_below_matches_svd_on_random_matrices(rng):
+    for n in (1, 2, 5, 9, 16):
+        a = mk.random_matrix(n, rng)
+        norm = mk.op_norm(a)
+        for bound in (0.5 * norm, 0.999 * norm, norm, 1.001 * norm, 2.0 * norm,
+                      10.0 * norm):
+            assert mk.norm_below([a], bound) == (norm < bound)
+
+
+def test_norm_below_runs_no_svd_where_the_bounds_decide(rng, monkeypatch):
+    mats = [mk.random_matrix(n, rng) for n in (3, 8)]
+    upper = max(np.linalg.norm(a) for a in mats)
+    calls = []
+    monkeypatch.setattr(mk, "op_norm", lambda a: calls.append(a) or np.linalg.norm(a, 2))
+    assert mk.norm_below(mats, 1.01 * upper)
+    assert not mk.norm_below(mats, 0.5 * max(np.abs(a).max() for a in mats))
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.0625, 3.7e-5])
+def test_norm_below_at_the_norm_of_scaled_unitaries(rng, delta):
+    # the computed row and column norms of delta*U often exceed its computed
+    # largest singular value by an ulp, so only the guard keeps them equal
+    p = mk.perm_matrix(mk.Permutation((3, 1, 4, 2, 5)))
+    mats = [delta * p] + [delta * mk.random_unitary(n, rng) for n in range(2, 10)]
+    for a in mats:
+        bound = delta
+        for _ in range(8):
+            bound = np.nextafter(bound, 0.0)
+        for _ in range(17):
+            assert mk.norm_below([a], bound) == _svd_below([a], bound)
+            bound = np.nextafter(bound, np.inf)
+
+
+def test_norm_below_zero_and_one_by_one():
+    zero = np.zeros((4, 4), dtype=np.complex128)
+    assert mk.norm_below([zero], 1e-300)
+    assert not mk.norm_below([zero], 0.0)
+    one = np.array([[3.0 - 4.0j]])
+    assert mk.norm_below([one], np.nextafter(5.0, np.inf))
+    assert not mk.norm_below([one], 5.0)
+    assert mk.norm_below([one], 5.0) == _svd_below([one], 5.0)
+
+
+def test_norm_below_checks_every_matrix(rng):
+    small = [0.1 * mk.random_unitary(n, rng) for n in (2, 3, 4)]
+    big = mk.random_matrix(5, rng)
+    bound = 0.5 * mk.op_norm(big)
+    assert mk.norm_below(small, bound)
+    assert not mk.norm_below(small + [big], bound)
+    assert mk.norm_below([], 0.0)

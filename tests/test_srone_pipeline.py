@@ -133,13 +133,13 @@ def test_plan_chain_deepens_until_witness_and_n1():
     # period doubling at horizon 2 has no simplicity witness at depth 3
     pd = dyn.Substitution.from_json(
         {"alphabet": ["0", "1"], "rules": {"0": "01", "1": "00"}, "seed": "0"})
-    bases = dyn.fibonacci_prefix_bases(pd, 14)
-    chain = dyn.build_cylinder_chain(pd, bases[:3], base_horizon=2, max_points_per_level=16)
+    bases = dyn.fibonacci_prefix_bases(pd, 3)
+    chain = dyn.build_cylinder_chain(pd, bases, base_horizon=2, max_points_per_level=16)
     planted = plant(chain.model(1), np.random.default_rng(12))
     U = sp.make_zero_cross(planted, 0.25 / 4).points
     assert dm.check_simplicity_condition(list(chain.maps), 1, U) == (False, None)
 
-    planned = sp.plan_chain(pd, chain, bases, planted, 0.25, 16, dyn.DEFAULT_SCAN_LENGTH)
+    planned = sp.plan_chain(pd, chain, 14, planted, 0.25, 16, dyn.DEFAULT_SCAN_LENGTH)
     holds, j_witness = dm.check_simplicity_condition(list(planned.maps), 1, U)
     assert holds
     j_plan, jp, M, N, _ = sp.gathering_plan(list(planned.maps), 1, U)
@@ -161,6 +161,65 @@ def test_open_block_points_bracket(two_level_model, rng):
         assert np.all(np.abs(v[mags <= delta]) == 0.0)
         # entries with margin above delta survive, only shrunk
         assert np.all(np.abs(v[mags > delta]) > 0.0)
+
+
+def svd_bisection(g, eps):
+    """The threshold search measuring every step with norm_dist (one SVD per
+    point): 60 bisection steps from the same bracket."""
+    n_l = g.model.largest_dim
+
+    def dist_at(delta):
+        return dm.norm_dist(g, dm.soft_threshold(g, delta))
+
+    lo = eps / n_l
+    while dist_at(lo) >= eps:
+        lo /= 2.0
+    hi = max(float(np.max(np.abs(v))) for v in g.values.values()) + eps / n_l
+    if dist_at(hi) < eps:
+        lo = hi
+    else:
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if dist_at(mid) < eps:
+                lo = mid
+            else:
+                hi = mid
+    return dm.soft_threshold(g, lo), lo, dist_at(lo)
+
+
+def monomial_element(model, rng):
+    """Each value a permutation matrix times phases of modulus 1 to 2: the
+    distance of soft_threshold(., delta) to it is exactly delta below 1."""
+    vals = {}
+    for ref in model.free_refs():
+        n = model.dim(ref.level)
+        v = np.zeros((n, n), dtype=np.complex128)
+        v[rng.permutation(n), np.arange(n)] = (
+            rng.uniform(1.0, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        vals[ref] = v
+    return dm.Element(model, vals)
+
+
+@pytest.mark.parametrize("make, eps", [
+    (dm.random_element, 0.1),
+    (dm.random_element, 1.0),
+    (lambda m, rng: dm.random_element(m, rng, scale=0.01), 0.1),
+    (monomial_element, 0.0625),
+    (monomial_element, 0.3),
+])
+def test_open_block_points_matches_svd_bisection(two_level_model, rng, make, eps):
+    g = make(two_level_model, rng)
+    out, delta, dist = sp.open_block_points(g, eps)
+    ref_out, ref_delta, ref_dist = svd_bisection(g, eps)
+    assert (delta, dist) == (ref_delta, ref_dist)
+    for ref in two_level_model.free_refs():
+        assert np.array_equal(out.values[ref], ref_out.values[ref])
+
+
+def test_open_block_points_converges_onto_eps(two_level_model, rng):
+    g = monomial_element(two_level_model, rng)
+    _, delta, dist = sp.open_block_points(g, 0.0625)
+    assert dist < 0.0625 and 0.0625 - delta <= 1e-15
 
 
 def synthetic_condensation_fixture(rng, scale=0.01):
