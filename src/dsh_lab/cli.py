@@ -55,15 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("DSH_LAB_SEED")
-    if env is not None:
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("DSH_LAB_SEED")
+        if env is None:
+            return 0
+        source = "DSH_LAB_SEED"
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise UsageError(f"DSH_LAB_SEED is not an integer: {env!r}") from exc
-    return 0
+    if value < 0:
+        raise UsageError(f"{source} must be nonnegative, got {value}")
+    return value
 
 
 def _load_substitution(spec: str) -> dyn.Substitution:
@@ -172,6 +176,8 @@ def _cmd_pipeline(args) -> int:
     seed = _resolve_seed(args.seed)
     if not (math.isfinite(args.epsilon) and args.epsilon > 0):
         raise UsageError(f"epsilon must be finite and positive, got {args.epsilon}")
+    if not math.isfinite(args.plant_scale):
+        raise UsageError(f"plant-scale must be finite, got {args.plant_scale}")
     if args.max_depth < 2:
         # a chain needs one embedding map before any element can be pushed along it
         raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")

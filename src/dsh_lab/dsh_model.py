@@ -14,6 +14,8 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,31 +86,47 @@ class FiniteDshModel:
     def largest_dim(self) -> int:
         return max(lvl.dim for lvl in self.levels)
 
+    # The index: built once per model on first use. cached_property stores
+    # into the instance dict, so equality and hashing still see only levels.
+
+    @cached_property
+    def _points(self) -> dict[PointRef, tuple[ModelPoint, int]]:
+        """Every point with its level's dimension, in level order."""
+        return {PointRef(i, p.id): (p, lvl.dim)
+                for i, lvl in enumerate(self.levels, start=1) for p in lvl.points}
+
+    @cached_property
+    def _free_refs(self) -> tuple[PointRef, ...]:
+        return tuple(r for r, (p, _) in self._points.items() if not p.is_glued)
+
+    @cached_property
+    def free_set(self) -> frozenset[PointRef]:
+        return frozenset(self._free_refs)
+
+    @cached_property
+    def _block_starts(self) -> Mapping[PointRef, tuple[int, ...]]:
+        out: dict[PointRef, tuple[int, ...]] = {}
+        for ref, (p, _) in self._points.items():
+            starts = [1]
+            for sub in (p.gluing or ())[:-1]:
+                starts.append(starts[-1] + self.dim(sub.level))
+            out[ref] = tuple(starts)
+        return MappingProxyType(out)
+
     def has_point(self, ref: PointRef) -> bool:
-        return 1 <= ref.level <= self.num_levels and any(
-            p.id == ref.point for p in self.levels[ref.level - 1].points
-        )
+        return ref in self._points
 
     def point(self, ref: PointRef) -> ModelPoint:
-        if not (1 <= ref.level <= self.num_levels):
-            raise KeyError(f"dangling reference: {ref}")
-        for p in self.levels[ref.level - 1].points:
-            if p.id == ref.point:
-                return p
-        raise KeyError(f"dangling reference: {ref}")
+        try:
+            return self._points[ref][0]
+        except KeyError:
+            raise KeyError(f"dangling reference: {ref}") from None
 
     def free_refs(self) -> tuple[PointRef, ...]:
-        return tuple(
-            PointRef(i, p.id)
-            for i, lvl in enumerate(self.levels, start=1)
-            for p in lvl.points
-            if not p.is_glued
-        )
+        return self._free_refs
 
     def all_refs(self) -> tuple[PointRef, ...]:
-        return tuple(
-            PointRef(i, p.id) for i, lvl in enumerate(self.levels, start=1) for p in lvl.points
-        )
+        return tuple(self._points)
 
 
 @dataclass(frozen=True)
@@ -171,16 +189,16 @@ class Element:
     __slots__ = ("model", "values")
 
     def __init__(self, model: FiniteDshModel, values: Mapping[PointRef, np.ndarray]):
-        free = model.free_refs()
-        missing = [r for r in free if r not in values]
-        extra = [r for r in values if r not in set(free)]
-        if missing or extra:
+        if values.keys() != model.free_set:
+            missing = [r for r in model.free_refs() if r not in values]
+            extra = [r for r in values if r not in model.free_set]
             raise ValueError(f"element values must cover exactly the free points; "
                              f"missing={missing}, extra={extra}")
+        points = model._points
         stored: dict[PointRef, np.ndarray] = {}
-        for ref in free:
+        for ref in model.free_refs():
             v = np.asarray(values[ref], dtype=np.complex128)
-            n = model.dim(ref.level)
+            n = points[ref][1]
             if v.shape != (n, n):
                 raise ValueError(f"value at {ref} has shape {v.shape}, expected ({n}, {n})")
             stored[ref] = _frozen(v)
@@ -248,25 +266,13 @@ def random_element(m: FiniteDshModel, rng: np.random.Generator, scale: float = 1
     return Element(m, vals)
 
 
-def block_starts(m: FiniteDshModel) -> dict[PointRef, tuple[int, ...]]:
-    """Positions where a new diagonal block begins, per point.
+def block_starts(m: FiniteDshModel) -> Mapping[PointRef, tuple[int, ...]]:
+    """Positions where a new diagonal block begins, per point (read-only).
 
     Free points start a single block at 1; a glued point with component
     dimensions (d_1, ..., d_t) starts blocks at 1, d_1+1, d_1+d_2+1, ...
     """
-    out: dict[PointRef, tuple[int, ...]] = {}
-    for ref in m.all_refs():
-        p = m.point(ref)
-        if not p.is_glued:
-            out[ref] = (1,)
-            continue
-        starts = [1]
-        acc = 1
-        for sub in p.gluing[:-1]:
-            acc += m.dim(sub.level)
-            starts.append(acc)
-        out[ref] = tuple(starts)
-    return out
+    return m._block_starts
 
 
 def witness_no_block_point(m: FiniteDshModel, ref: PointRef, k: int) -> Element:
@@ -298,11 +304,8 @@ def witness_no_block_point(m: FiniteDshModel, ref: PointRef, k: int) -> Element:
         else:
             raise ValueError(f"position {k} is a block boundary at {ref}; no witness exists")
 
-    e = zero_element(m)
-    vals = dict(e.values)
-    v = np.array(vals[target])
-    v[local_k - 2, local_k - 1] = 1.0
-    vals[target] = v
+    vals = {r: np.zeros((m.dim(r.level),) * 2, dtype=np.complex128) for r in m.free_refs()}
+    vals[target][local_k - 2, local_k - 1] = 1.0
     out = Element(m, vals)
     from .matrixkit import has_block_point
 
@@ -320,8 +323,7 @@ class DiagonalMap:
     lists: Mapping[PointRef, tuple[PointRef, ...]] = field(hash=False)
 
     def __post_init__(self):
-        free = set(self.target.free_refs())
-        if set(self.lists) != free:
+        if self.lists.keys() != self.target.free_set:
             raise ValueError("eigenvalue lists must cover exactly the target free points")
         for tref, srcs in self.lists.items():
             if not srcs:

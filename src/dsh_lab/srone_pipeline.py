@@ -12,6 +12,7 @@ logs the distance it consumed from the epsilon budget.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Collection
@@ -159,6 +160,11 @@ class ZeroCrossStage:
     predicates: list[Predicate] = field(default_factory=list)
 
 
+def _require_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+
+
 def _zero_cross_point(e: Element, eps: float) -> PointRef:
     """The point make_zero_cross rotates: the first point of the highest
     level whose smallest singular value is below eps."""
@@ -183,8 +189,7 @@ def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
     (that is the whole distance), and the unitaries carry the corresponding
     singular bases so that vL e' vR has a zero cross in position 1 there.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     p_star = _zero_cross_point(e, eps)
     n = e.model.dim(p_star.level)
     a = e.values[p_star]
@@ -341,8 +346,7 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     stops once the midpoint no longer splits the bracket, when no later step
     could move lo.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     n_l = g.model.largest_dim
 
     def below_eps(delta: float) -> bool:
@@ -498,8 +502,7 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     total distance and minimum singular value.
     """
     t0 = time.perf_counter()
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     models = chain_models(chain)
     if not (1 <= j <= len(models)) or a.model != models[j - 1]:
         raise ValueError("element does not live at chain position j")
@@ -594,6 +597,7 @@ def plan_chain(s: Substitution, chain: CylinderChain, max_depth: int, a: Element
     ``max_depth``, the last SimplicityError or ChainTooShortError is raised
     again.
     """
+    _require_eps(eps)
     if find_singular_point(a, INVERTIBLE_TOL) is None:
         return chain
     # eps/4 is the budget approximate_by_invertible gives make_zero_cross

@@ -208,6 +208,52 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert "DSH_LAB_SEED" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "--seed", "-1"),
+    ("verify", "--suites", "conj", "--seed", "-1"),
+])
+def test_negative_seed_flag_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "dsh-lab: --seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [("return-words", "--word", "0"), ("verify", "--suites", "conj")])
+def test_negative_seed_env_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DSH_LAB_SEED", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "dsh-lab: DSH_LAB_SEED must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_pipeline_rejects_non_finite_plant_scale(capsys, scale):
+    code, out, err = run_cli(capsys, "pipeline", f"--plant-scale={scale}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("dsh-lab: plant-scale must be finite")
+
+
+@pytest.mark.parametrize("scale", ["0", "-0.05"])
+def test_pipeline_accepts_zero_and_negative_plant_scale(capsys, scale):
+    code, out, _ = run_cli(capsys, "pipeline", f"--plant-scale={scale}", "--seed", "1")
+    assert code == 0
+    cert = parse(out)["certificate"]
+    assert cert["summary"]["total_distance"] < 0.25
+    assert cert["summary"]["min_singular_value"] > 0
+    assert all(entry["pass"] for stage in cert["stages"] for entry in stage["predicates"].values())
+
+
+@pytest.mark.parametrize("name, checks", [("blockchar", 3984), ("indicator", 283)])
+def test_suite_check_counts_at_default_trials(name, checks):
+    # a rewrite of a suite's loop must not silently check less
+    result = vf.run_suite(name, seed=0)
+    assert result.passed and result.failure is None
+    assert result.checks == checks
+
+
 def test_unitary_eval_transposition(capsys):
     code, out, _ = run_cli(capsys, "unitary", "eval", "--kind", "transposition",
                            "--n", "2", "--k1", "1", "--k2", "2", "--t", "1.0")

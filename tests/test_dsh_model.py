@@ -5,6 +5,7 @@ import pytest
 
 from dsh_lab import dsh_model as dm
 from dsh_lab import matrixkit as mk
+from dsh_lab import verify as vf
 from dsh_lab.dsh_model import FiniteDshModel, Level, ModelPoint, PointRef
 
 
@@ -59,6 +60,66 @@ def test_eval_element_nested_gluing_flattens(three_level_model, rng):
 def test_element_requires_complete_free_assignment(two_level_model):
     with pytest.raises(ValueError, match="missing"):
         dm.Element(two_level_model, {PointRef(1, "a"): np.eye(3)})
+    full = dict(dm.zero_element(two_level_model).values)
+    short = {r: v for r, v in full.items() if r != PointRef(1, "b")}
+    with pytest.raises(ValueError) as exc:
+        dm.Element(two_level_model, short)
+    assert str(exc.value) == ("element values must cover exactly the free points; "
+                              "missing=[PointRef(level=1, point='b')], extra=[]")
+    with pytest.raises(ValueError) as exc:
+        dm.Element(two_level_model, {**full, PointRef(2, "g"): np.zeros((6, 6))})
+    assert str(exc.value) == ("element values must cover exactly the free points; "
+                              "missing=[], extra=[PointRef(level=2, point='g')]")
+
+
+def _scanned_point(m, ref):
+    """The point at ``ref`` found by scanning its level, or None."""
+    if not 1 <= ref.level <= len(m.levels):
+        return None
+    return next((p for p in m.levels[ref.level - 1].points if p.id == ref.point), None)
+
+
+def test_model_index_agrees_with_linear_scan(three_level_model):
+    rng = np.random.default_rng(0)
+    models = [three_level_model] + [vf.random_model(np.random.default_rng(s)) for s in range(20)]
+    for m in models:
+        refs = [PointRef(i, p.id) for i, lvl in enumerate(m.levels, start=1) for p in lvl.points]
+        probes = refs + [PointRef(0, refs[0].point), PointRef(len(m.levels) + 1, refs[-1].point),
+                         PointRef(int(rng.integers(1, len(m.levels) + 1)), "missing")]
+        for ref in probes:
+            want = _scanned_point(m, ref)
+            assert m.has_point(ref) == (want is not None)
+            if want is None:
+                with pytest.raises(KeyError, match="dangling reference"):
+                    m.point(ref)
+            else:
+                assert m.point(ref) is want
+        for i, lvl in enumerate(m.levels, start=1):
+            assert m.dim(i) == lvl.dim
+        for i in (0, len(m.levels) + 1):
+            with pytest.raises(IndexError):
+                m.dim(i)
+        assert m.all_refs() == tuple(refs)
+        assert m.free_refs() == tuple(r for r in refs if not _scanned_point(m, r).is_glued)
+        assert m.free_set == frozenset(m.free_refs())
+
+
+def test_equal_models_stay_equal_after_indexing(three_level_model):
+    twin = dm.model_from_json(dm.model_to_json(three_level_model))
+    assert twin is not three_level_model
+    dm.block_starts(three_level_model)
+    dm.random_element(three_level_model, np.random.default_rng(1))
+    assert twin == three_level_model and hash(twin) == hash(three_level_model)
+    dm.block_starts(twin)
+    assert twin == three_level_model and hash(twin) == hash(three_level_model)
+    assert len({twin, three_level_model}) == 1
+
+
+def test_block_starts_table_cannot_be_changed(two_level_model):
+    starts = dm.block_starts(two_level_model)
+    with pytest.raises(TypeError):
+        starts[PointRef(2, "g")] = (1,)
+    assert dm.block_starts(two_level_model)[PointRef(2, "g")] == (1, 4)
 
 
 def test_block_starts_level_one_and_glued(two_level_model):

@@ -196,3 +196,41 @@ def test_norm_below_checks_every_matrix(rng):
     assert mk.norm_below(small, bound)
     assert not mk.norm_below(small + [big], bound)
     assert mk.norm_below([], 0.0)
+
+
+def test_block_point_of_envelope_equals_block_point_of_every_matrix():
+    # the blockchar suite checks a sample's entrywise max instead of each matrix
+    rng = np.random.default_rng(11)
+    atol = mk.DEFAULT_ATOL
+    edge = (atol, 2 * atol, -atol * 1j, 0.5 * atol, 1.0)
+    n = 7
+    seen = set()
+    for _ in range(300):
+        split = int(rng.integers(2, n + 1))
+        stack = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        stack[:, split - 1:, :split - 1] = 0
+        stack[:, :split - 1, split - 1:] = 0
+        for v in stack:
+            if rng.random() < 0.4:
+                i, j = rng.integers(0, n, size=2)
+                v[i, j] = edge[int(rng.integers(0, len(edge)))]
+        envelope = np.max(np.abs(stack), axis=0)
+        for k in range(1, n + 1):
+            want = all(mk.has_block_point(v, k) for v in stack)
+            assert mk.has_block_point(envelope, k) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_envelope_keeps_a_single_breaking_matrix():
+    atol = mk.DEFAULT_ATOL
+    stack = np.zeros((6, 5, 5), dtype=np.complex128)
+    stack[:, :2, :2] = 1.0
+    stack[:, 2:, 2:] = 1.0
+    stack[:, 4, 0] = atol            # on the tolerance: still a block point
+    stack[1, 0, 3] = -atol * 1j
+    assert mk.has_block_point(np.max(np.abs(stack), axis=0), 3)
+    stack[4, 3, 1] = 2 * atol        # one matrix breaks it
+    envelope = np.max(np.abs(stack), axis=0)
+    assert not mk.has_block_point(envelope, 3)
+    assert [mk.has_block_point(v, 3) for v in stack] == [True] * 4 + [False, True]

@@ -377,3 +377,21 @@ def test_approximate_rejects_bad_epsilon(fib_chain):
     e = dm.zero_element(fib_chain.model(1))
     with pytest.raises(ValueError, match="positive"):
         sp.approximate_by_invertible(list(fib_chain.maps), e, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_eps_must_be_finite_and_positive(two_level_model, rng, fib_chain, eps):
+    a = plant(two_level_model, rng)
+    chain = [dm.identity_shaped_map(two_level_model, two_level_model,
+                                    {r: r for r in two_level_model.free_refs()})]
+    fib_a = plant(fib_chain.model(1), rng)
+    calls = [
+        lambda: sp.make_zero_cross(a, eps),
+        lambda: sp.open_block_points(a, eps),
+        lambda: sp.approximate_by_invertible(chain, a, eps),
+        lambda: sp.plan_chain(dyn.Substitution.fibonacci(), fib_chain, 6, fib_a, eps, 16,
+                              dyn.DEFAULT_SCAN_LENGTH),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"finite and positive, got {eps}"):
+            call()
