@@ -80,8 +80,13 @@ def _load_substitution(spec: str) -> dyn.Substitution:
     try:
         with open(spec, encoding="utf-8") as fh:
             return dyn.Substitution.from_json(json.load(fh))
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"invalid substitution config {spec}: {exc}") from exc
+
+
+def _require_word(word: str) -> None:
+    if not word:
+        raise UsageError("--word must be nonempty")
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -95,6 +100,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _cmd_return_words(args) -> int:
     seed = _resolve_seed(args.seed)
+    _require_word(args.word)
     s = _load_substitution(args.substitution)
     try:
         words = dyn.return_words(s, args.word, args.scan_length)
@@ -117,6 +123,7 @@ def _cmd_return_words(args) -> int:
 
 def _cmd_build_model(args) -> int:
     seed = _resolve_seed(args.seed)
+    _require_word(args.word)
     s = _load_substitution(args.substitution)
     try:
         tower = dyn.build_tower_model(s, args.word, args.horizon,
@@ -146,6 +153,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"trials must be at least 1, got {args.trials}")
     names = list(vf.SUITE_NAMES) if args.suites == "all" else [
         s.strip() for s in args.suites.split(",") if s.strip()]
+    if not names:
+        raise UsageError(f"no suite named; valid suites: {', '.join(vf.SUITE_NAMES)}")
     for name in names:
         if name not in vf.SUITE_NAMES:
             raise UsageError(
@@ -194,11 +203,12 @@ def _cmd_pipeline(args) -> int:
     if args.element:
         if not os.path.exists(args.element):
             raise UsageError(f"element file not found: {args.element}")
-        with open(args.element, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.element, encoding="utf-8") as fh:
                 planted = dm.element_from_json(chain.model(1), json.load(fh))
-            except (ValueError, KeyError) as exc:
-                raise UsageError(f"invalid element file: {exc}") from exc
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # TypeError: JSON of the wrong shape, such as a list for "values"
+            raise UsageError(f"invalid element file: {exc}") from exc
         input_id = args.element
     else:
         planted = plant_singular_element(chain.model(1), rng, scale=args.plant_scale)

@@ -580,8 +580,11 @@ def element_to_json(e: Element) -> dict:
 
 
 def element_from_json(m: FiniteDshModel, obj: dict) -> Element:
+    values = obj.get("values") if isinstance(obj, dict) else None
+    if not isinstance(values, dict):
+        raise ValueError('expected a JSON object with a "values" object')
     vals = {}
-    for key, mat in obj["values"].items():
+    for key, mat in values.items():
         level, point = key.split("/", 1)
         vals[PointRef(int(level), point)] = matrix_from_json(mat)
     return Element(m, vals)

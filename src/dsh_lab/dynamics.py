@@ -11,7 +11,9 @@ factoring inner return words over outer ones.
 
 from __future__ import annotations
 
+import bisect
 import functools
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -90,7 +92,16 @@ class Substitution:
 
     @staticmethod
     def from_json(obj: dict) -> "Substitution":
-        return Substitution(tuple(obj["alphabet"]), dict(obj["rules"]), obj["seed"])
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        alphabet, rules, seed = obj["alphabet"], obj["rules"], obj["seed"]
+        if not (isinstance(alphabet, list) and all(isinstance(c, str) for c in alphabet)):
+            raise ValueError("alphabet must be a list of strings")
+        if not (isinstance(rules, dict) and all(isinstance(r, str) for r in rules.values())):
+            raise ValueError("rules must map symbols to strings")
+        if not isinstance(seed, str):
+            raise ValueError("seed must be a string")
+        return Substitution(tuple(alphabet), dict(rules), seed)
 
     def to_json(self) -> dict:
         return {"alphabet": list(self.alphabet), "rules": dict(self.rules), "seed": self.seed}
@@ -108,9 +119,10 @@ def fixed_point_prefix(s: Substitution, L: int) -> str:
     return w[:L]
 
 
-def occurrences(text: str, pattern: str) -> list[int]:
-    """All (possibly overlapping) start offsets of pattern in text."""
-    out = []
+def occurrences(text: str, pattern: str) -> array:
+    """All (possibly overlapping) start offsets of pattern in text, in
+    increasing order, as a compact integer array."""
+    out = array("q")
     start = text.find(pattern)
     while start != -1:
         out.append(start)
@@ -118,27 +130,38 @@ def occurrences(text: str, pattern: str) -> list[int]:
     return out
 
 
-def _scan_return_words(prefix: str, w: str) -> set[str]:
-    occs = occurrences(prefix, w)
+@functools.lru_cache(maxsize=1)
+def _scan_base(s: Substitution, w: str, L_scan: int) -> tuple[str, memoryview]:
+    """The doubled scan prefix and the start offsets of w in it (read-only),
+    kept for the one base that ``return_words`` and ``build_tower_model``
+    both scan."""
+    prefix = fixed_point_prefix(s, 2 * L_scan)
+    return prefix, memoryview(occurrences(prefix, w)).toreadonly()
+
+
+def _return_word_set(prefix: str, occs: Sequence[int]) -> set[str]:
     return {prefix[a:b] for a, b in zip(occs, occs[1:])}
 
 
 def return_words(s: Substitution, w: str, L_scan: int = DEFAULT_SCAN_LENGTH) -> list[str]:
     """Distinct first-return words to the cylinder [w], scan-stabilized.
 
-    Scans the fixed-point prefixes of lengths L_scan and 2*L_scan; for a
-    linearly recurrent subshift the sets agree once the scan is long enough,
-    which is the stabilization certificate. Sorted by (length, word).
+    Compares the fixed-point prefixes of lengths L_scan and 2*L_scan (one
+    scan of the longer, whose first half is the shorter); for a linearly
+    recurrent subshift the sets agree once the scan is long enough, which is
+    the stabilization certificate. Sorted by (length, word).
     """
     if L_scan < 2 * len(w) + 2:
         raise ValueError(f"scan length {L_scan} is too short for |w| = {len(w)}")
-    short = fixed_point_prefix(s, L_scan)
-    if w not in short:
+    prefix, occs = _scan_base(s, w, L_scan)
+    # the length-L_scan prefix is the first half of the doubled one
+    short = occs[:bisect.bisect_right(occs, L_scan - len(w))]
+    if not short:
         raise ScanError(f"'{w}' does not occur in the scanned prefix")
-    found = _scan_return_words(short, w)
+    found = _return_word_set(prefix, short)
     if not found:
         raise ScanError(f"'{w}' occurs fewer than twice in the scanned prefix")
-    double = _scan_return_words(fixed_point_prefix(s, 2 * L_scan), w)
+    double = _return_word_set(prefix, occs)
     if found != double:
         raise ScanError(
             f"return-word set for '{w}' did not stabilize at scan length {L_scan}; "
@@ -196,8 +219,7 @@ def build_tower_model(s: Substitution, w: str, horizon: int,
     times = sorted({len(r) for r in rws})
     by_time = {t: tuple(sorted(r for r in rws if len(r) == t)) for t in times}
 
-    prefix = fixed_point_prefix(s, 2 * L_scan)
-    occs = occurrences(prefix, w)
+    prefix, occs = _scan_base(s, w, L_scan)
     samples: dict[int, list[str]] = {t: [] for t in times}
     for a, b in zip(occs, occs[1:]):
         n = b - a

@@ -27,6 +27,11 @@ UNITARY_ATOL = 1e-10
 # value are each computed to within about n*u (u = 1.1e-16) of the exact
 # values, far inside this margin, so a decided answer equals the SVD's.
 NORM_BOUND_GUARD = 1e-10
+# Relative bracket width at which the soft-threshold search stops. Its lower
+# end is certified below the budget at every step, so stopping early only
+# lowers delta, by at most a relative 2*THRESHOLD_RTOL; resolving the bracket
+# further would decide steps by rounding alone.
+THRESHOLD_RTOL = 10 * NORM_BOUND_GUARD
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .dynamics import (
 from .matrixkit import (
     DEFAULT_ATOL,
     PATH_ATOL,
+    THRESHOLD_RTOL,
     Permutation,
     _frozen,
     diagonal_radius,
@@ -117,6 +118,10 @@ class PipelineCertificate:
     total_distance: float
     min_singular_value: float
     runtime_ms: float
+    # the soft threshold's delta, and whether it zeroed every free value;
+    # None when no threshold ran (an already invertible input)
+    threshold_delta: float | None = None
+    threshold_wiped: bool | None = None
 
     @property
     def budget_consumed(self) -> float:
@@ -133,6 +138,8 @@ class PipelineCertificate:
                 "stage_distance_sum": self.budget_consumed,
                 "min_singular_value": self.min_singular_value,
                 "runtime_ms": self.runtime_ms,
+                "threshold_delta": self.threshold_delta,
+                "threshold_wiped": self.threshold_wiped,
             },
         }
 
@@ -342,9 +349,11 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     least eps/n_l is always available; the binary search pushes it up to
     where the distance would reach eps (or everything is zeroed). Each step
     asks ``norm_below`` whether every per-point difference stays under eps,
-    so an SVD runs only where the norm bounds cannot decide; the search
-    stops once the midpoint no longer splits the bracket, when no later step
-    could move lo.
+    so an SVD runs only where the norm bounds cannot decide. The search
+    stops once the bracket is narrower than THRESHOLD_RTOL relative to hi
+    (lo is certified at every step, so the distance stays under eps and delta
+    is within a relative 2*THRESHOLD_RTOL of the fully resolved search), or
+    once the midpoint no longer splits it.
     """
     _require_eps(eps)
     n_l = g.model.largest_dim
@@ -361,6 +370,8 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
         lo = hi
     else:
         for _ in range(60):
+            if hi - lo <= THRESHOLD_RTOL * hi:
+                break
             mid = (lo + hi) / 2
             if not lo < mid < hi:
                 break
@@ -476,18 +487,15 @@ def rordam_invert(t: Element, delta: float) -> Element:
     """Add delta times the unit to a pointwise-nilpotent element.
 
     A strictly lower triangular value is nilpotent, so the sum is invertible
-    at every point (determinant delta^n); the caller reads the measured
-    minimum singular value off the certificate.
+    at every point (determinant delta^n); the caller measures its minimum
+    singular value.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     for ref in t.model.all_refs():
         if not is_strictly_lower_triangular(eval_element(t, ref), PATH_ATOL):
             raise ValueError(f"value at {ref} is not strictly lower triangular")
-    out = t + scalar_element(t.model, delta)
-    if min_singular_over_points(out) <= 0.0:
-        raise PipelineError("perturbed element is numerically singular")
-    return out
+    return t + scalar_element(t.model, delta)
 
 
 def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
@@ -499,7 +507,8 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     eps/8 for the scalar perturbation (half the final quarter, leaving slack
     for the triangulation tolerance). The certificate logs each stage's
     unitaries, verified predicates, and consumed distance, plus the measured
-    total distance and minimum singular value.
+    total distance and minimum singular value, the threshold's delta, and
+    whether the threshold zeroed every free value.
     """
     t0 = time.perf_counter()
     _require_eps(eps)
@@ -546,13 +555,15 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     v4, t_el, triangulate_preds = triangulate(g_second, prop.N)
     delta_r = eps / 8
     core = rordam_invert(t_el, delta_r)
+    core_minsv = min_singular_over_points(core)
+    if core_minsv <= 0.0:
+        raise PipelineError("perturbed element is numerically singular")
     a_prime = (v3.adjoint() * core * v4.adjoint() * v3)
     a_prime = prop.left.adjoint() * a_prime * prop.right.adjoint()
 
     phi = compose_chain(chain, j, prop.stage_index)
     total = norm_dist(apply_diagonal_map(phi, a), a_prime)
     minsv = min_singular_over_points(a_prime)
-    core_minsv = min_singular_over_points(core)
 
     final_preds: list[Predicate] = []
     _require(final_preds, "total_distance_below_eps", total < eps, f"{total} >= {eps}")
@@ -580,6 +591,8 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         input_id=input_id, epsilon=eps, stages=stages, output=a_prime,
         output_stage=prop.stage_index, total_distance=total,
         min_singular_value=minsv, runtime_ms=1000 * (time.perf_counter() - t0),
+        threshold_delta=delta_thresh,
+        threshold_wiped=not any(np.any(v) for v in g_prime.values.values()),
     )
     return a_prime, cert
 

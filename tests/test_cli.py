@@ -307,3 +307,38 @@ def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     assert got == code
     assert out == ""
     assert err.startswith("dsh-lab: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("pipeline", "--substitution", "{dir}/array.json"), "expected a JSON object, got list"),
+    (("pipeline", "--substitution", "{dir}/string.json"), "expected a JSON object, got str"),
+    (("pipeline", "--substitution", "{dir}"), "invalid substitution config"),
+    (("pipeline", "--element", "{dir}/array.json"), "invalid element file"),
+    (("verify", "--suites", ""), "no suite named"),
+    (("verify", "--suites", " , "), "no suite named"),
+    (("return-words", "--word", ""), "--word must be nonempty"),
+    (("build-model", "--word", "", "--horizon", "1"), "--word must be nonempty"),
+])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "string.json").write_text('"fibonacci"')
+    code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("dsh-lab: ") and err.count("\n") == 1 and message in err
+
+
+def test_wiped_threshold_is_recorded(tmp_path, capsys):
+    # a period-doubling input whose every point has norm below eps/4 after
+    # the propagation, so the soft threshold zeroes it
+    pd = tmp_path / "period-doubling.json"
+    pd.write_text(json.dumps({"alphabet": ["0", "1"], "rules": {"0": "01", "1": "00"},
+                              "seed": "0"}))
+    code, out, _ = run_cli(capsys, "pipeline", "--substitution", str(pd),
+                           "--plant-scale", "0.05", "--seed", "1104004")
+    assert code == 0
+    cert = parse(out)["certificate"]
+    assert all(entry["pass"] for stage in cert["stages"] for entry in stage["predicates"].values())
+    assert cert["summary"]["threshold_wiped"] is True
+    assert cert["summary"]["threshold_delta"] > 0
+    assert cert["summary"]["min_singular_value"] == pytest.approx(0.25 / 8, rel=1e-12)

@@ -241,6 +241,41 @@ def test_return_words_010_matches_inline_scan(fib):
         assert got == expected == ["01", "010"]
 
 
+def two_scan_return_words(s, w, L_scan):
+    """return_words by scanning the L_scan and 2*L_scan prefixes separately."""
+    def scan(prefix):
+        occs = dyn.occurrences(prefix, w)
+        return {prefix[a:b] for a, b in zip(occs, occs[1:])}
+
+    short = dyn.fixed_point_prefix(s, L_scan)
+    if w not in short:
+        return "does not occur"
+    found = scan(short)
+    if not found:
+        return "fewer than twice"
+    if found != scan(dyn.fixed_point_prefix(s, 2 * L_scan)):
+        return "did not stabilize"
+    return sorted(found, key=lambda r: (len(r), r))
+
+
+@pytest.mark.parametrize("name", ["fib", "tm", "pd"])
+def test_return_words_match_two_separate_scans(name, fib, tm):
+    s = {"fib": fib, "tm": tm, "pd": dyn.Substitution(("0", "1"), {"0": "01", "1": "00"})}[name]
+    words = [format(i, "b").zfill(n) for n in range(1, 6) for i in range(2 ** n)]
+    for L_scan in (14, 30, 100):
+        for w in words:
+            if L_scan < 2 * len(w) + 2:
+                continue
+            expected = two_scan_return_words(s, w, L_scan)
+            if isinstance(expected, list):
+                assert dyn.return_words(s, w, L_scan) == expected
+            else:
+                with pytest.raises(dyn.ScanError, match=expected):
+                    dyn.return_words(s, w, L_scan)
+    # the offsets of only the last base scanned stay cached
+    assert dyn._scan_base.cache_info().currsize == 1
+
+
 def test_factor_partial_sums_are_occurrence_positions(fib):
     factors = dyn.factorize_returns(dyn.build_tower_model(fib, "0", 1),
                                     dyn.build_tower_model(fib, "0100101", 7))

@@ -163,9 +163,10 @@ def test_open_block_points_bracket(two_level_model, rng):
         assert np.all(np.abs(v[mags > delta]) > 0.0)
 
 
-def svd_bisection(g, eps):
+def svd_bisection(g, eps, rtol=0.0):
     """The threshold search measuring every step with norm_dist (one SVD per
-    point): 60 bisection steps from the same bracket."""
+    point): 60 bisection steps from the same bracket, stopping early once
+    the bracket is no wider than rtol relative to hi."""
     n_l = g.model.largest_dim
 
     def dist_at(delta):
@@ -179,6 +180,8 @@ def svd_bisection(g, eps):
         lo = hi
     else:
         for _ in range(60):
+            if hi - lo <= rtol * hi:
+                break
             mid = (lo + hi) / 2
             if dist_at(mid) < eps:
                 lo = mid
@@ -210,16 +213,49 @@ def monomial_element(model, rng):
 def test_open_block_points_matches_svd_bisection(two_level_model, rng, make, eps):
     g = make(two_level_model, rng)
     out, delta, dist = sp.open_block_points(g, eps)
-    ref_out, ref_delta, ref_dist = svd_bisection(g, eps)
+    # norm_below decides every step as an SVD would, under the same stop
+    ref_out, ref_delta, ref_dist = svd_bisection(g, eps, mk.THRESHOLD_RTOL)
     assert (delta, dist) == (ref_delta, ref_dist)
     for ref in two_level_model.free_refs():
         assert np.array_equal(out.values[ref], ref_out.values[ref])
+    # precision contract against the fully resolved search
+    _, ref60_delta, _ = svd_bisection(g, eps)
+    assert ref60_delta * (1 - 2 * mk.THRESHOLD_RTOL) <= delta <= ref60_delta
+    assert dist < eps
 
 
 def test_open_block_points_converges_onto_eps(two_level_model, rng):
     g = monomial_element(two_level_model, rng)
     _, delta, dist = sp.open_block_points(g, 0.0625)
-    assert dist < 0.0625 and 0.0625 - delta <= 1e-15
+    assert dist < 0.0625 and 0.0625 - delta <= 2 * mk.THRESHOLD_RTOL * 0.0625
+
+
+def test_threshold_search_resolves_delta_to_a_relative_1e_9():
+    # the precision contract above is stated relative to this constant
+    assert mk.THRESHOLD_RTOL == pytest.approx(1e-9, rel=1e-12)
+
+
+def test_open_block_points_wiped_input_equals_full_search(two_level_model, rng):
+    # every entry lies below hi, so the threshold zeroes the element before
+    # any bisection step runs
+    g = dm.random_element(two_level_model, rng, scale=1e-3)
+    out, delta, dist = sp.open_block_points(g, 1.0)
+    _, ref_delta, ref_dist = svd_bisection(g, 1.0)
+    assert (delta, dist) == (ref_delta, ref_dist)
+    assert not any(np.any(v) for v in out.values.values())
+
+
+def test_open_block_points_stop_saves_svds(two_level_model, rng, monkeypatch):
+    g = monomial_element(two_level_model, rng)
+    calls = []
+    op_norm = mk.op_norm
+    monkeypatch.setattr(mk, "op_norm", lambda a: calls.append(1) or op_norm(a))
+    sp.open_block_points(g, 0.0625)
+    stopped = len(calls)
+    calls.clear()
+    monkeypatch.setattr(sp, "THRESHOLD_RTOL", 0.0)  # the search without the stop
+    sp.open_block_points(g, 0.0625)
+    assert stopped < len(calls)
 
 
 def synthetic_condensation_fixture(rng, scale=0.01):
@@ -371,6 +407,29 @@ def test_approximate_planted_end_to_end(rng):
     blob = cert.to_json()
     assert blob["summary"]["total_distance"] < eps
     assert set(blob["stages"][0]["predicates"]) == {"distance_within_eps", "zero_cross_at_1"}
+
+
+def test_certificate_records_threshold_delta_and_wipe(rng, fib_chain):
+    chain = _deepened_chain(67)
+    planted = plant(chain.model(1), rng, scale=0.05)
+    _, cert = sp.approximate_by_invertible(list(chain.maps), planted, 0.25)
+    summary = cert.to_json()["summary"]
+    assert summary["threshold_wiped"] is False
+    assert 0 < summary["threshold_delta"] <= 0.25 / 4
+    # a nonzero nilpotent lowers the margin below the scalar eps/8
+    assert cert.min_singular_value < 0.25 / 8
+
+    unit = dm.unit_element(fib_chain.model(1))
+    summary = sp.approximate_by_invertible(list(fib_chain.maps), unit, 0.25)[1].to_json()["summary"]
+    assert summary["threshold_delta"] is None and summary["threshold_wiped"] is None
+
+
+def test_singular_core_is_a_pipeline_error(rng, monkeypatch):
+    chain = _deepened_chain(67)
+    planted = plant(chain.model(1), rng, scale=0.05)
+    monkeypatch.setattr(sp, "min_singular_over_points", lambda e: 0.0)
+    with pytest.raises(sp.PipelineError, match="numerically singular"):
+        sp.approximate_by_invertible(list(chain.maps), planted, 0.25)
 
 
 def test_approximate_rejects_bad_epsilon(fib_chain):
