@@ -92,8 +92,11 @@ def _require_word(word: str) -> None:
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a missing directory, or a directory given as --out
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -187,6 +190,8 @@ def _cmd_pipeline(args) -> int:
         raise UsageError(f"epsilon must be finite and positive, got {args.epsilon}")
     if not math.isfinite(args.plant_scale):
         raise UsageError(f"plant-scale must be finite, got {args.plant_scale}")
+    if args.horizon < 1:
+        raise UsageError(f"horizon must be at least 1, got {args.horizon}")
     if args.max_depth < 2:
         # a chain needs one embedding map before any element can be pushed along it
         raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")
@@ -240,8 +245,11 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _parse_numbers(text: str, flag: str, kind=float) -> tuple:
+    try:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
 
 
 def _cmd_unitary_eval(args) -> int:
@@ -252,10 +260,10 @@ def _cmd_unitary_eval(args) -> int:
         elif args.kind == "eta":
             val = up.eta_path(args.k, args.n, args.block, args.t)
         elif args.kind == "condense":
-            zs = tuple(int(x) for x in args.positions.split(","))
+            zs = _parse_numbers(args.positions, "--positions", int)
             val = up.condense_path(args.n, zs)(args.t)
         elif args.kind == "vn":
-            val = up.v_n(_parse_floats(args.theta), args.block)
+            val = up.v_n(_parse_numbers(args.theta, "--theta"), args.block)
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown kind {args.kind}")
     except (ValueError, IndexError, up.ThetaInvariantError) as exc:

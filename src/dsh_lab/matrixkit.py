@@ -32,6 +32,17 @@ NORM_BOUND_GUARD = 1e-10
 # lowers delta, by at most a relative 2*THRESHOLD_RTOL; resolving the bracket
 # further would decide steps by rounding alone.
 THRESHOLD_RTOL = 10 * NORM_BOUND_GUARD
+# Smallest singular value at or below which the pipeline treats a point as
+# singular and an element as needing approximation.
+INVERTIBLE_TOL = 1e-9
+# Absolute slack by which the measured total distance may exceed the sum of
+# the stage distances (the triangle inequality): both sides are measured in
+# floating point, after products with ~n unitary path factors (see PATH_ATOL).
+BUDGET_SLACK = 1e-9
+# Relative drift allowed between the smallest singular value of the output
+# and of the core between its unitary factors: equal in exact arithmetic, and
+# apart only by the roundoff of the products and the two SVDs.
+SANDWICH_RTOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -45,8 +45,11 @@ from .dynamics import (
     fibonacci_prefix_bases,
 )
 from .matrixkit import (
+    BUDGET_SLACK,
     DEFAULT_ATOL,
+    INVERTIBLE_TOL,
     PATH_ATOL,
+    SANDWICH_RTOL,
     THRESHOLD_RTOL,
     Permutation,
     _frozen,
@@ -59,8 +62,6 @@ from .matrixkit import (
     perm_matrix,
 )
 from .unitary_paths import condense_path, gather_multi, v_n
-
-INVERTIBLE_TOL = 1e-9
 
 
 class PipelineError(RuntimeError):
@@ -88,6 +89,19 @@ def _require(preds: list[Predicate], name: str, ok: bool, witness: str | None = 
     preds.append((name, ok, None if ok else witness))
     if not ok:
         raise PipelineError(f"predicate '{name}' failed: {witness}")
+
+
+def _require_crosses(preds: list[Predicate], name: str, e: Element,
+                     offsets: Collection[int], atol: float) -> None:
+    """Require a zero cross at k + o for every block start k and offset o,
+    at every point of ``e``."""
+    starts = block_starts(e.model)
+    for ref in e.model.all_refs():
+        val = eval_element(e, ref)
+        for k in starts[ref]:
+            for o in offsets:
+                _require(preds, name, has_zero_cross(val, k + o, atol),
+                         f"{ref}: missing zero cross at {k + o}")
 
 
 @dataclass
@@ -324,17 +338,10 @@ def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
     v2 = apply_diagonal_map(phi, zc.right) * gather.adjoint()
     image = Element(model_jp, image_vals)
 
-    starts = block_starts(model_jp)
+    _require_crosses(preds, "periodic_zero_crosses", image, range(0, N * M, M), PATH_ATOL)
     for ref in model_jp.all_refs():
-        val = eval_element(image, ref)
-        for k in starts[ref]:
-            for a in range(N):
-                _require(preds, "periodic_zero_crosses",
-                         has_zero_cross(val, k + a * M, PATH_ATOL),
-                         f"{ref}: missing zero cross at {k + a * M}")
-        _require(preds, "radius_bound",
-                 diagonal_radius(val, PATH_ATOL) <= R + M - 1,
-                 f"{ref}: radius {diagonal_radius(val, PATH_ATOL)} > {R + M - 1}")
+        r = diagonal_radius(eval_element(image, ref), PATH_ATOL)
+        _require(preds, "radius_bound", r <= R + M - 1, f"{ref}: radius {r} > {R + M - 1}")
     return PropagationStage(
         stage_index=jp, witness_index=j_witness, left=v1, right=v2, image=image,
         M=M, N=N, R=R, predicates=preds,
@@ -387,45 +394,35 @@ def condense_crosses(g_prime: Element, M: int, N: int,
                      ) -> tuple[Element, Element, list[Predicate]]:
     """Walk the crosses at k, k+M, ..., k+(N-1)M into k, k+1, ..., k+N-1.
 
-    Requires a block point at every block start, so the condensation path
-    acts inside one diagonal block per start; the diagonal radius grows by
-    at most 2 at every point. Returns (V3, V3 G' V3*, verified predicates).
+    Requires the crosses and a block point at every block start, so the
+    condensation path acts inside one diagonal block per start; the diagonal
+    radius grows by at most 2 at every point. The condensed crosses are left
+    to ``triangulate``, which checks them at the stricter DEFAULT_ATOL.
+    Returns (V3, V3 G' V3*, verified predicates).
     """
     model = g_prime.model
     nm = N * M
     if model.smallest_dim <= nm:
         raise ValueError(f"need n_1 > NM = {nm}, got n_1 = {model.smallest_dim}")
+    # verified 0/1 with its final nm entries zero, so every window fits
     theta = build_indicator(model, nm, (0,))
-    path = condense_path(nm, tuple(1 + a * M for a in range(N)))
+    block = condense_path(nm, tuple(1 + a * M for a in range(N)))(1.0)
     starts = block_starts(model)
 
     preds: list[Predicate] = []
+    _require_crosses(preds, "input_periodic_crosses", g_prime, range(0, nm, M), DEFAULT_ATOL)
     for ref in model.all_refs():
         val = eval_element(g_prime, ref)
         for k in starts[ref]:
-            for a in range(N):
-                _require(preds, "input_periodic_crosses",
-                         has_zero_cross(val, k + a * M, DEFAULT_ATOL),
-                         f"{ref}: missing zero cross at {k + a * M}")
             _require(preds, "input_block_points",
                      has_block_point(val, k, DEFAULT_ATOL),
                      f"{ref}: no block point at {k}")
 
-    blocks: dict[float, np.ndarray] = {}
     v_vals: dict[PointRef, np.ndarray] = {}
     for ref in model.free_refs():
-        n = model.dim(ref.level)
-        th = np.real(np.diag(theta.values[ref]))
-        v = np.eye(n, dtype=np.complex128)
-        for k in range(1, n + 1):
-            t = float(th[k - 1])
-            if t == 0.0:
-                continue
-            if k > n - nm:
-                raise PipelineError(f"active window at {k} does not fit below dimension {n}")
-            if t not in blocks:
-                blocks[t] = path(t)
-            v[k - 1:k - 1 + nm, k - 1:k - 1 + nm] = blocks[t]
+        v = np.eye(model.dim(ref.level), dtype=np.complex128)
+        for k in np.flatnonzero(np.diag(theta.values[ref])):
+            v[k:k + nm, k:k + nm] = block
         v_vals[ref] = _frozen(v)
     v3 = Element(model, v_vals)
     out = v3 * g_prime * v3.adjoint()
@@ -433,11 +430,6 @@ def condense_crosses(g_prime: Element, M: int, N: int,
     for ref in model.all_refs():
         before = eval_element(g_prime, ref)
         after = eval_element(out, ref)
-        for k in starts[ref]:
-            for z in range(k, k + N):
-                _require(preds, "consecutive_crosses",
-                         has_zero_cross(after, z, PATH_ATOL),
-                         f"{ref}: missing zero cross at {z}")
         _require(preds, "radius_growth_at_most_2",
                  diagonal_radius(after, PATH_ATOL) <= diagonal_radius(before, PATH_ATOL) + 2,
                  f"{ref}: radius grew by more than 2")
@@ -455,19 +447,12 @@ def triangulate(g_second: Element, N: int) -> tuple[Element, Element, list[Predi
     if model.smallest_dim <= N:
         raise ValueError(f"need n_1 > N = {N}, got n_1 = {model.smallest_dim}")
     theta = build_indicator(model, N, (0,))
-    starts = block_starts(model)
 
     preds: list[Predicate] = []
+    _require_crosses(preds, "input_consecutive_crosses", g_second, range(N), DEFAULT_ATOL)
     for ref in model.all_refs():
-        val = eval_element(g_second, ref)
-        for k in starts[ref]:
-            for z in range(k, k + N):
-                _require(preds, "input_consecutive_crosses",
-                         has_zero_cross(val, z, DEFAULT_ATOL),
-                         f"{ref}: missing zero cross at {z}")
-        _require(preds, "input_radius_below_N",
-                 diagonal_radius(val, DEFAULT_ATOL) < N,
-                 f"{ref}: radius {diagonal_radius(val, DEFAULT_ATOL)} >= N={N}")
+        r = diagonal_radius(eval_element(g_second, ref), DEFAULT_ATOL)
+        _require(preds, "input_radius_below_N", r < N, f"{ref}: radius {r} >= N={N}")
 
     v_vals = {
         ref: v_n(tuple(np.real(np.diag(theta.values[ref]))), N)
@@ -486,15 +471,12 @@ def triangulate(g_second: Element, N: int) -> tuple[Element, Element, list[Predi
 def rordam_invert(t: Element, delta: float) -> Element:
     """Add delta times the unit to a pointwise-nilpotent element.
 
-    A strictly lower triangular value is nilpotent, so the sum is invertible
-    at every point (determinant delta^n); the caller measures its minimum
-    singular value.
+    ``triangulate`` certifies that every value of ``t`` is strictly lower
+    triangular, hence nilpotent, so the sum is invertible at every point
+    (determinant delta^n); the caller measures its minimum singular value.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    for ref in t.model.all_refs():
-        if not is_strictly_lower_triangular(eval_element(t, ref), PATH_ATOL):
-            raise ValueError(f"value at {ref} is not strictly lower triangular")
     return t + scalar_element(t.model, delta)
 
 
@@ -534,21 +516,12 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         raise PipelineError(f"parameter discipline violated: N={prop.N} <= R+M+2")
 
     g_prime, delta_thresh, d_thresh = open_block_points(prop.image, eps / 4)
+    # condense_crosses checks the crosses and block points that g' hands on
     thresh_preds: list[Predicate] = []
-    starts = block_starts(g_prime.model)
     for ref in g_prime.model.all_refs():
-        val = eval_element(g_prime, ref)
-        before = eval_element(prop.image, ref)
-        for k in starts[ref]:
-            for step in range(prop.N):
-                _require(thresh_preds, "crosses_retained",
-                         has_zero_cross(val, k + step * prop.M, DEFAULT_ATOL),
-                         f"{ref}: lost zero cross at {k + step * prop.M}")
-            _require(thresh_preds, "block_points_open",
-                     has_block_point(val, k, DEFAULT_ATOL),
-                     f"{ref}: no exact block point at {k}")
         _require(thresh_preds, "radius_not_increased",
-                 diagonal_radius(val) <= diagonal_radius(before, PATH_ATOL),
+                 diagonal_radius(eval_element(g_prime, ref))
+                 <= diagonal_radius(eval_element(prop.image, ref), PATH_ATOL),
                  f"{ref}: radius increased")
 
     v3, g_second, condense_preds = condense_crosses(g_prime, prop.M, prop.N)
@@ -570,11 +543,11 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     stage_sum = zc.distance + d_thresh + delta_r
     _require(final_preds, "stage_sum_below_eps", stage_sum < eps,
              f"stage distances sum to {stage_sum} >= {eps}")
-    _require(final_preds, "budget_soundness", total <= stage_sum + 1e-9,
+    _require(final_preds, "budget_soundness", total <= stage_sum + BUDGET_SLACK,
              f"measured {total} exceeds stage sum {stage_sum}")
     _require(final_preds, "invertible_output", minsv > 0.0, "zero singular value")
     _require(final_preds, "unitary_sandwich_exactness",
-             abs(minsv - core_minsv) <= 1e-10 * max(1.0, core_minsv),
+             abs(minsv - core_minsv) <= SANDWICH_RTOL * max(1.0, core_minsv),
              f"min singular value drifted: {minsv} vs {core_minsv}")
 
     stages = [

@@ -22,6 +22,7 @@ from .matrixkit import (
     Permutation,
     cycle_perm,
     diagonal_radius,
+    direct_sum,
     has_block_point,
     has_zero_cross,
     is_unitary,
@@ -320,13 +321,7 @@ def _suite_vn(rng: np.random.Generator, trials: int) -> int:
         cuts = ones + [n + 1]
         blocks = [up.v_n(theta[cuts[a] - 1:cuts[a + 1] - 1], N, validate=False)
                   for a in range(len(ones))]
-        rhs = np.zeros((n, n), dtype=np.complex128)
-        off = 0
-        for b in blocks:
-            d = b.shape[0]
-            rhs[off:off + d, off:off + d] = b
-            off += d
-        _check(float(np.max(np.abs(v - rhs))) <= PATH_ATOL,
+        _check(float(np.max(np.abs(v - direct_sum(blocks)))) <= PATH_ATOL,
                f"block decomposition residual above 1e-9 (n={n}, N={N}, theta={theta})")
         checks += 1
     return checks

@@ -318,6 +318,13 @@ def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     (("verify", "--suites", " , "), "no suite named"),
     (("return-words", "--word", ""), "--word must be nonempty"),
     (("build-model", "--word", "", "--horizon", "1"), "--word must be nonempty"),
+    (("return-words", "--word", "0", "--out", "{dir}/missing/x.json"),
+     "cannot write --out {dir}/missing/x.json: No such file"),
+    (("return-words", "--word", "0", "--out", "{dir}"), "cannot write --out {dir}: Is a directory"),
+    (("pipeline", "--horizon", "0"), "horizon must be at least 1, got 0"),
+    (("pipeline", "--horizon", "-2"), "horizon must be at least 1, got -2"),
+    (("unitary", "eval", "--kind", "condense", "--positions", "x"), "--positions must be"),
+    (("unitary", "eval", "--kind", "vn", "--theta", "x"), "--theta must be"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     (tmp_path / "array.json").write_text("[1, 2]")
@@ -325,7 +332,8 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 1
     assert out == ""
-    assert err.startswith("dsh-lab: ") and err.count("\n") == 1 and message in err
+    assert err.startswith("dsh-lab: ") and err.count("\n") == 1
+    assert message.format(dir=tmp_path) in err
 
 
 def test_wiped_threshold_is_recorded(tmp_path, capsys):

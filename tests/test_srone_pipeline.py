@@ -330,6 +330,56 @@ def test_triangulate_radius_witness(rng):
         sp.triangulate(dm.Element(model, vals), N)
 
 
+def _with_entry(e, ref, i, j, x):
+    vals = dict(e.values)
+    v = np.array(vals[ref])
+    v[i, j] = x
+    vals[ref] = v
+    return dm.Element(e.model, vals)
+
+
+def test_threshold_handoff_checked_at_default_atol(rng):
+    # g' hands its crosses to condense_crosses, which checks them at DEFAULT_ATOL
+    model, g_prime, M, N = synthetic_condensation_fixture(rng)
+    ref = PointRef(1, "a")
+    sp.condense_crosses(_with_entry(g_prime, ref, 3, 4, 0.5 * mk.DEFAULT_ATOL), M, N)
+    with pytest.raises(sp.PipelineError, match="input_periodic_crosses.*cross at 4"):
+        sp.condense_crosses(_with_entry(g_prime, ref, 3, 4, 10 * mk.DEFAULT_ATOL), M, N)
+
+
+def test_condense_handoff_checked_at_default_atol(rng):
+    # a 1e-10 entry passes a PATH_ATOL cross check but not triangulate's
+    model, g_prime, M, N = synthetic_condensation_fixture(rng)
+    _, g_second, _ = sp.condense_crosses(g_prime, M, N)
+    ref = PointRef(1, "a")
+    broken = _with_entry(g_second, ref, 2, 3, 1e-10)
+    assert mk.has_zero_cross(broken.values[ref], 3, mk.PATH_ATOL)
+    with pytest.raises(sp.PipelineError, match="input_consecutive_crosses.*cross at 3"):
+        sp.triangulate(broken, N)
+
+
+def test_triangulate_handoff_checked_at_path_atol(monkeypatch):
+    # rordam_invert relies on triangulate's strictly_lower_triangular; with the
+    # identity for V4 the product keeps a diagonal entry of the input
+    model = FiniteDshModel((Level(8, (ModelPoint("x"),)),))
+    zero = dm.zero_element(model)
+    ref = PointRef(1, "x")
+    monkeypatch.setattr(sp, "v_n", lambda theta, N: np.eye(len(theta), dtype=complex))
+    sp.triangulate(_with_entry(zero, ref, 5, 5, 0.5 * mk.PATH_ATOL), 2)
+    with pytest.raises(sp.PipelineError, match="strictly_lower_triangular"):
+        sp.triangulate(_with_entry(zero, ref, 5, 5, 2 * mk.PATH_ATOL), 2)
+
+
+def test_each_handoff_recorded_by_one_stage(rng):
+    chain = _deepened_chain(67)
+    planted = plant(chain.model(1), rng, scale=0.05)
+    _, cert = sp.approximate_by_invertible(list(chain.maps), planted, 0.25)
+    assert cert.threshold_wiped is False
+    names = [name for s in cert.stages for name in {p[0] for p in s.predicates}]
+    assert len(names) == len(set(names))
+    assert not {"crosses_retained", "block_points_open", "consecutive_crosses"} & set(names)
+
+
 def test_rordam_invert_cases(rng):
     model = FiniteDshModel((Level(4, (ModelPoint("x"),)),))
     zero = dm.zero_element(model)
@@ -343,8 +393,6 @@ def test_rordam_invert_cases(rng):
     det = np.linalg.det(inv.values[PointRef(1, "x")])
     assert det == pytest.approx(delta ** 4, abs=1e-12)
 
-    with pytest.raises(ValueError, match="strictly lower"):
-        sp.rordam_invert(dm.unit_element(model), 0.2)
     with pytest.raises(ValueError, match="positive"):
         sp.rordam_invert(zero, 0.0)
 
