@@ -24,7 +24,6 @@ from .unitary_paths import (
     condense_path,
     eta_path,
     gather_multi,
-    gather_once,
     triangulate_check,
     u_transposition,
     v_n,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 domain failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -87,6 +88,19 @@ def _load_substitution(spec: str) -> dyn.Substitution:
 def _require_word(word: str) -> None:
     if not word:
         raise UsageError("--word must be nonempty")
+
+
+def _check_out(out: str | None) -> None:
+    """Fail before any work when --out is a directory or sits in a missing one."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write --out {out}: {os.strerror(code)}")
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -340,6 +354,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"dsh-lab: {exc}\n")

@@ -492,7 +492,13 @@ def norm_dist(e1: Element, e2: Element) -> float:
 
 
 def min_singular_over_points(e: Element) -> float:
-    return min(min_singular_value(eval_element(e, r)) for r in e.model.all_refs())
+    """Min over free points of the smallest singular value.
+
+    Glued points need no separate check: their values are diagonal
+    assemblies of free values, and a diagonal assembly's smallest singular
+    value is the min of its blocks'.
+    """
+    return min(min_singular_value(v) for v in e.values.values())
 
 
 def chain_models(chain: Sequence[DiagonalMap]) -> list[FiniteDshModel]:

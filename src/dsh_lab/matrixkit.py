@@ -239,20 +239,6 @@ def is_unitary(a: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(n))) <= atol)
 
 
-def random_matrix(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    out = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return _frozen(out)
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    # normalize the diagonal phases so the distribution does not depend on
-    # the QR sign convention
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return _frozen(q)
-
-
 def matrix_to_json(a: np.ndarray) -> dict:
     """Row-major {"n": ..., "entries": [[[re, im], ...], ...]}; exact round-trip."""
     a = np.asarray(a, dtype=np.complex128)

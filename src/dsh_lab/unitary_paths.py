@@ -170,33 +170,15 @@ def _check_window(n: int, k: int, delta: ThetaVector, m_window: int) -> None:
         raise ValueError(f"no entry of delta equals 1 inside the window [{k}, {k + m_window - 1}]")
 
 
-def gather_once(a: np.ndarray, k: int, delta, m_window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather a zero cross of A from the window [k, k+M-1] into position k.
-
-    Returns (V, V A V*). Requires delta_i > 0 only at zero-cross positions
-    of A and delta_i = 1 somewhere in the window; the product is vacuous when
-    all window parameters above k vanish (then delta_k = 1 and A already has
-    the cross).
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    delta = ThetaVector.coerce(delta)
-    _check_gate(a, delta)
-    _check_window(a.shape[0], k, delta, m_window)
-    v = np.eye(a.shape[0], dtype=np.complex128)
-    _rmul_window(v, k, delta, m_window)
-    b = v @ a @ v.conj().T
-    if not has_zero_cross(b, k, PATH_ATOL):
-        raise RuntimeError(f"gathering failed to produce a zero cross at {k}")
-    return _frozen(v), _frozen(b)
-
-
 def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather zero crosses into every position of ks (windows of width M).
 
     ks must be increasing with gaps >= M and the last window must fit. The
     returned pair is (V_N ... V_1, the conjugated matrix); the diagonal
     radius grows by at most M-1. The windows are disjoint, so the factors
-    commute and are accumulated into one unitary that conjugates A once.
+    commute and are accumulated into one unitary that conjugates A once. A
+    window whose parameters above k all vanish contributes the identity
+    (then delta_k = 1 and A already has the cross at k).
     """
     a = np.asarray(a, dtype=np.complex128)
     delta = ThetaVector.coerce(delta)

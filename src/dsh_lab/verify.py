@@ -244,14 +244,14 @@ def _suite_block1(rng: np.random.Generator, trials: int) -> int:
         for z in crossed:
             delta[z - 1] = rng.uniform(0.2, 0.95)
         delta[int(rng.choice(crossed)) - 1] = 1.0
-        v, b = up.gather_once(a, k, delta, m_window)
-        _check(has_zero_cross(b, k, PATH_ATOL), f"gather_once left no cross at {k}")
+        v, b = up.gather_multi(a, delta, [k], m_window)
+        _check(has_zero_cross(b, k, PATH_ATOL), f"gathering left no cross at {k}")
         _check(is_unitary(v), "gathering unitary is not unitary")
         # vacuous case: gate supported at k only
         vac = np.zeros(n)
         vac[k - 1] = 1.0
         a2 = random_crossed_matrix(rng, n, [k])
-        v2, b2 = up.gather_once(a2, k, vac, m_window)
+        v2, b2 = up.gather_multi(a2, vac, [k], m_window)
         _check(np.array_equal(v2, np.eye(n)), "vacuous product is not the identity")
         _check(np.array_equal(b2, a2), "vacuous gathering changed the matrix")
         checks += 1

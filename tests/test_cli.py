@@ -336,6 +336,21 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     assert message.format(dir=tmp_path) in err
 
 
+@pytest.mark.parametrize("out, message", [
+    ("{dir}/missing/x.json", "No such file or directory"),
+    ("{dir}", "Is a directory"),
+])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, out, message):
+    calls = []
+    monkeypatch.setattr(cli, "approximate_by_invertible", lambda *a, **k: calls.append(a))
+    out = out.format(dir=tmp_path)
+    code, stdout, err = run_cli(capsys, "pipeline", "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"dsh-lab: cannot write --out {out}: {message}\n"
+    assert calls == []
+
+
 def test_wiped_threshold_is_recorded(tmp_path, capsys):
     # a period-doubling input whose every point has norm below eps/4 after
     # the propagation, so the soft threshold zeroes it

@@ -57,6 +57,51 @@ def test_eval_element_nested_gluing_flattens(three_level_model, rng):
     assert np.array_equal(val, manual)
 
 
+def _banded_crossed_element(m, rng):
+    """Banded values with random zero crosses, about half strictly lower triangular."""
+    vals = {}
+    for ref in m.free_refs():
+        n = m.dim(ref.level)
+        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v[np.abs(np.subtract.outer(range(n), range(n))) >= int(rng.integers(1, 4))] = 0
+        for z in rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False):
+            v[z, :] = 0
+            v[:, z] = 0
+        vals[ref] = np.tril(v, -1) if rng.random() < 0.5 else v
+    return dm.Element(m, vals)
+
+
+def test_glued_predicates_follow_their_free_components(three_level_model):
+    # the direct-sum rules behind checking the pipeline on free values only:
+    # each predicate holds at a glued point exactly when it holds at the
+    # free points assembled there
+    rng = np.random.default_rng(7)
+    models = [three_level_model] + [vf.random_model(np.random.default_rng(s)) for s in range(20)]
+    lower_seen = set()
+    for m in models:
+        starts = dm.block_starts(m)
+        elements = [dm.random_element(m, rng)] + [_banded_crossed_element(m, rng) for _ in range(3)]
+        for e in elements:
+            for ref in m.all_refs():
+                if not m.point(ref).is_glued:
+                    continue
+                val = dm.eval_element(e, ref)
+                parts = [e.values[c] for c in m.point(ref).gluing]
+                for atol in (mk.DEFAULT_ATOL, mk.PATH_ATOL):
+                    for k, part in zip(starts[ref], parts):
+                        for o in range(part.shape[0]):
+                            assert mk.has_zero_cross(val, k + o, atol) \
+                                == mk.has_zero_cross(part, 1 + o, atol)
+                    assert mk.diagonal_radius(val, atol) \
+                        == max(mk.diagonal_radius(p, atol) for p in parts)
+                    lower = mk.is_strictly_lower_triangular(val, atol)
+                    assert lower == all(mk.is_strictly_lower_triangular(p, atol) for p in parts)
+                    lower_seen.add(lower)
+                assert abs(mk.min_singular_value(val)
+                           - min(mk.min_singular_value(p) for p in parts)) <= 1e-12
+    assert lower_seen == {True, False}
+
+
 def test_element_requires_complete_free_assignment(two_level_model):
     with pytest.raises(ValueError, match="missing"):
         dm.Element(two_level_model, {PointRef(1, "a"): np.eye(3)})

@@ -8,6 +8,18 @@ from hypothesis import strategies as st
 from dsh_lab import matrixkit as mk
 
 
+def random_matrix(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_unitary(n, rng):
+    """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    # normalize the diagonal phases so the distribution does not depend on
+    # the QR sign convention
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def test_as_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         mk.as_matrix([[1, 2, 3]])
@@ -109,7 +121,7 @@ def test_op_norm_and_min_singular_value(rng):
     d = np.diag([3.0, 0.0])
     assert mk.op_norm(d) == pytest.approx(3.0, abs=1e-12)
     assert mk.min_singular_value(d) == pytest.approx(0.0, abs=1e-12)
-    u = mk.random_unitary(5, rng)
+    u = random_unitary(5, rng)
     assert mk.op_norm(u) == pytest.approx(1.0, abs=1e-10)
     assert mk.min_singular_value(u) == pytest.approx(1.0, abs=1e-10)
     assert mk.is_unitary(u)
@@ -130,7 +142,7 @@ def test_strictly_lower_implies_nilpotent(n, rng):
 
 
 def test_matrix_json_round_trip_exact(rng):
-    a = mk.random_matrix(4, rng)
+    a = random_matrix(4, rng)
     blob = json.dumps(mk.matrix_to_json(a))
     back = mk.matrix_from_json(json.loads(blob))
     assert np.array_equal(a, back)
@@ -147,7 +159,7 @@ def _svd_below(mats, bound):
 
 def test_norm_below_matches_svd_on_random_matrices(rng):
     for n in (1, 2, 5, 9, 16):
-        a = mk.random_matrix(n, rng)
+        a = random_matrix(n, rng)
         norm = mk.op_norm(a)
         for bound in (0.5 * norm, 0.999 * norm, norm, 1.001 * norm, 2.0 * norm,
                       10.0 * norm):
@@ -155,7 +167,7 @@ def test_norm_below_matches_svd_on_random_matrices(rng):
 
 
 def test_norm_below_runs_no_svd_where_the_bounds_decide(rng, monkeypatch):
-    mats = [mk.random_matrix(n, rng) for n in (3, 8)]
+    mats = [random_matrix(n, rng) for n in (3, 8)]
     upper = max(np.linalg.norm(a) for a in mats)
     calls = []
     monkeypatch.setattr(mk, "op_norm", lambda a: calls.append(a) or np.linalg.norm(a, 2))
@@ -169,7 +181,7 @@ def test_norm_below_at_the_norm_of_scaled_unitaries(rng, delta):
     # the computed row and column norms of delta*U often exceed its computed
     # largest singular value by an ulp, so only the guard keeps them equal
     p = mk.perm_matrix(mk.Permutation((3, 1, 4, 2, 5)))
-    mats = [delta * p] + [delta * mk.random_unitary(n, rng) for n in range(2, 10)]
+    mats = [delta * p] + [delta * random_unitary(n, rng) for n in range(2, 10)]
     for a in mats:
         bound = delta
         for _ in range(8):
@@ -190,8 +202,8 @@ def test_norm_below_zero_and_one_by_one():
 
 
 def test_norm_below_checks_every_matrix(rng):
-    small = [0.1 * mk.random_unitary(n, rng) for n in (2, 3, 4)]
-    big = mk.random_matrix(5, rng)
+    small = [0.1 * random_unitary(n, rng) for n in (2, 3, 4)]
+    big = random_matrix(5, rng)
     bound = 0.5 * mk.op_norm(big)
     assert mk.norm_below(small, bound)
     assert not mk.norm_below(small + [big], bound)

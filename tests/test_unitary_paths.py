@@ -96,17 +96,18 @@ def test_nesting_identity_sampled(rng):
 
 
 def test_gather_once_vacuous_and_zero(rng):
+    # one window: gather_multi with a single window start
     n = 6
     a = random_crossed_matrix(rng, n, [3])
     delta = np.zeros(n)
     delta[2] = 1.0
-    v, b = up.gather_once(a, 3, delta, 3)
+    v, b = up.gather_multi(a, delta, [3], 3)
     assert np.array_equal(v, np.eye(n))
     assert np.array_equal(b, a)
     z = np.zeros((n, n))
     delta2 = np.zeros(n)
     delta2[4] = 1.0
-    _, b2 = up.gather_once(z, 3, delta2, 3)
+    _, b2 = up.gather_multi(z, delta2, [3], 3)
     assert np.array_equal(b2, z)
 
 
@@ -114,7 +115,7 @@ def test_gather_once_moves_cross(rng):
     a = random_crossed_matrix(rng, 8, [3, 5])
     delta = np.zeros(8)
     delta[4] = 1.0  # position 5
-    v, b = up.gather_once(a, 3, delta, 3)
+    v, b = up.gather_multi(a, delta, [3], 3)
     assert mk.has_zero_cross(b, 3, 1e-9)
     assert mk.is_unitary(v)
 
@@ -124,22 +125,30 @@ def test_gather_once_precondition_errors(rng):
     delta = np.zeros(6)
     delta[3] = 1.0
     with pytest.raises(ValueError, match="no zero cross at position 4"):
-        up.gather_once(a, 2, delta, 4)
+        up.gather_multi(a, delta, [2], 4)
     crossed = random_crossed_matrix(rng, 6, [4])
     with pytest.raises(ValueError, match="equals 1"):
-        up.gather_once(crossed, 2, 0.5 * delta, 4)
+        up.gather_multi(crossed, 0.5 * delta, [2], 4)
     with pytest.raises(IndexError):
-        up.gather_once(crossed, 5, delta, 4)
+        up.gather_multi(crossed, delta, [5], 4)
+
+
+def _window_product(n, k, delta, m_window):
+    """u_{(k,k+1)}(delta_{k+1}) ... u_{(k,k+M-1)}(delta_{k+M-1}), factor by factor."""
+    out = np.eye(n, dtype=complex)
+    for i in range(k + 1, k + m_window):
+        out = out @ up.u_transposition(up.TranspositionPathSpec(k, i, n), delta[i - 1])
+    return out
 
 
 def test_gather_multi_single_window_matches_gather_once(rng):
     a = random_crossed_matrix(rng, 9, [4])
     delta = np.zeros(9)
     delta[3] = 1.0
-    v1, b1 = up.gather_once(a, 2, delta, 4)
+    v1 = _window_product(9, 2, delta, 4)
     v2, b2 = up.gather_multi(a, delta, [2], 4)
     assert np.array_equal(v1, v2)
-    assert np.array_equal(b1, b2)
+    assert np.array_equal(v1 @ a @ v1.conj().T, b2)
 
     # several windows: the product of the single-window gathers of A
     for n, m_window, ks, gates in (
@@ -152,7 +161,10 @@ def test_gather_multi_single_window_matches_gather_once(rng):
             delta[z - 1] = t
         product = np.eye(n, dtype=complex)
         for k in ks:
-            product = up.gather_once(a, k, delta, m_window)[0] @ product
+            single = up.gather_multi(a, delta, [k], m_window)[0]
+            # in place against matrix products: apart by rounding only
+            assert np.max(np.abs(single - _window_product(n, k, delta, m_window))) <= 1e-15
+            product = single @ product
         v, b = up.gather_multi(a, delta, ks, m_window)
         assert np.array_equal(v, product)
         assert np.array_equal(b, product @ a @ product.conj().T)
