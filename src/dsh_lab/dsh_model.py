@@ -462,7 +462,7 @@ def build_indicator(m: FiniteDshModel, M: int, K: Sequence[int], F=None) -> Elem
 def shrink(v: np.ndarray, delta: float) -> np.ndarray:
     """Entrywise z -> z * max(0, |z| - delta) / |z| of one matrix."""
     mag = np.abs(v)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         factor = np.maximum(0.0, 1.0 - delta / mag)
     return v * np.where(np.isfinite(factor), factor, 0.0)
 

@@ -357,13 +357,18 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     Returns (thresholded element, delta, measured distance). The bracket
     comes from the per-point bound distance <= delta * n_l, so delta at
     least eps/n_l is always available; the binary search pushes it up to
-    where the distance would reach eps (or everything is zeroed). Each step
-    asks ``norm_below`` whether every per-point difference stays under eps,
-    so an SVD runs only where the norm bounds cannot decide. The search
-    stops once the bracket is narrower than THRESHOLD_RTOL relative to hi
-    (lo is certified at every step, so the distance stays under eps and delta
-    is within a relative 2*THRESHOLD_RTOL of the fully resolved search), or
-    once the midpoint no longer splits it.
+    where the distance would reach eps (or everything is zeroed). Unless
+    the threshold zeroes everything, no delta >= eps passes: below the
+    largest entry modulus, the entry of largest modulus leaves a difference
+    entry of modulus delta, and at or above it the threshold zeroes
+    everything. So hi drops to eps, and the search first tries
+    eps*(1 - THRESHOLD_RTOL), which ends it at once when it passes. Each
+    step asks ``norm_below`` whether every per-point difference stays under
+    eps, so an SVD runs only where the norm bounds cannot decide. The
+    search stops once the bracket is narrower than THRESHOLD_RTOL relative
+    to hi (lo is certified at every step, so the distance stays under eps
+    and delta is within a relative 2*THRESHOLD_RTOL of the fully resolved
+    search), or once the midpoint no longer splits it.
     """
     _require_eps(eps)
     n_l = g.model.largest_dim
@@ -379,6 +384,13 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     if below_eps(hi):
         lo = hi
     else:
+        hi = min(hi, eps)
+        probe = eps * (1.0 - THRESHOLD_RTOL)
+        if lo < probe < hi:
+            if below_eps(probe):
+                lo = probe
+            else:
+                hi = probe
         for _ in range(60):
             if hi - lo <= THRESHOLD_RTOL * hi:
                 break

@@ -84,8 +84,13 @@ def transposition_profile(t: float) -> tuple[complex, complex, complex, complex]
     g1 = g4 = e^{-i pi t/2} cos(pi t/2) and g2 = g3 = i e^{-i pi t/2}
     sin(pi t/2): unitary for every t, equal to the identity core at t=0 and
     to the flip at t=1. The symmetric off-diagonal profile is what makes the
-    conjugation-relabeling identity below exact.
+    conjugation-relabeling identity below exact. At t=1 the core is the exact
+    flip (0, 1, 1, 0) rather than its rounding (cos(pi/2) = 6.1e-17), so
+    every path the pipeline evaluates at its endpoints is a permutation.
     """
+    if t == 1.0:
+        zero, one = np.complex128(0.0), np.complex128(1.0)
+        return zero, one, one, zero
     phase = np.exp(-1j * np.pi * t / 2)
     g1 = phase * np.cos(np.pi * t / 2)
     g2 = 1j * phase * np.sin(np.pi * t / 2)

@@ -278,6 +278,17 @@ def test_console_script_help_runs():
     assert "return-words" in proc.stdout
 
 
+def test_pipeline_tiny_plant_scale_runs_without_warnings():
+    # delta / |z| overflows for entries near 1e-300; the shrink factor is 0
+    # either way, so nothing may reach stderr
+    proc = subprocess.run([sys.executable, "-m", "dsh_lab.cli", "pipeline",
+                           "--plant-scale", "1e-300", "--seed", "5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert parse(proc.stdout)["certificate"]["summary"]["total_distance"] < 0.25
+
+
 def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
     from dsh_lab import dsh_model as dm
     from dsh_lab import dynamics as dyn

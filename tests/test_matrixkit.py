@@ -246,3 +246,61 @@ def test_envelope_keeps_a_single_breaking_matrix():
     envelope = np.max(np.abs(stack), axis=0)
     assert not mk.has_block_point(envelope, 3)
     assert [mk.has_block_point(v, 3) for v in stack] == [True] * 4 + [False, True]
+
+
+def _scattered_blocks(shapes, rng):
+    """A block-diagonal matrix of random blocks of the given (rows, cols)
+    shapes, its rows and columns then permuted at random."""
+    n = sum(p for p, _ in shapes)
+    m = sum(q for _, q in shapes)
+    a = np.zeros((n, m), dtype=np.complex128)
+    r = c = 0
+    for p, q in shapes:
+        a[r:r + p, c:c + q] = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        r, c = r + p, c + q
+    return a[rng.permutation(n)][:, rng.permutation(m)]
+
+
+def _assert_matches_dense_svd(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    scale = max(s[0], 1e-300)
+    assert mk.op_norm(a) == pytest.approx(s[0], rel=1e-13, abs=1e-13 * scale)
+    assert mk.min_singular_value(a) == pytest.approx(s[-1], rel=1e-13, abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 2)] * 6 + [(3, 3)] * 4,                   # square blocks
+    [(2, 1), (1, 2), (3, 3), (3, 2), (2, 3)],      # rectangular components
+    [(1, 0), (0, 1), (2, 2), (2, 2), (1, 0), (0, 1)],  # empty rows and columns
+    [(1, 1)] * 9,                                  # 1x1 blocks only
+    [(1, 1), (2, 2), (1, 1), (4, 4), (3, 3), (1, 1), (2, 2), (2, 1), (1, 2)],  # mixed
+])
+def test_spectra_by_component_match_dense_svd(shapes, rng):
+    for _ in range(5):
+        _assert_matches_dense_svd(_scattered_blocks(shapes, rng))
+
+
+def test_spectra_of_a_dense_matrix_take_the_dense_svd(rng):
+    a = random_matrix(12, rng)
+    assert mk._block_spectra(a) is None
+    banded = np.triu(np.tril(a, 2), -2)     # connected through the band
+    assert mk._block_spectra(banded) is None
+    for x in (a, banded):
+        s = np.linalg.svd(x, compute_uv=False)
+        assert (mk.op_norm(x), mk.min_singular_value(x)) == (s[0], s[-1])
+
+
+def test_spectra_of_zero_and_permutation_matrices():
+    assert mk.op_norm(np.zeros((5, 5))) == 0.0
+    assert mk.min_singular_value(np.zeros((5, 5))) == 0.0
+    p = 0.25 * mk.perm_matrix(mk.Permutation((3, 1, 4, 2, 5)))
+    assert (mk.op_norm(p), mk.min_singular_value(p)) == (0.25, 0.25)
+
+
+def test_norm_below_agrees_with_op_norm_on_split_matrices(rng):
+    for shapes in ([(2, 2)] * 4, [(1, 1)] * 3 + [(3, 3)], [(2, 1), (1, 2), (2, 2)]):
+        a = _scattered_blocks(shapes, rng)
+        norm = mk.op_norm(a)
+        for bound in (0.5 * norm, np.nextafter(norm, 0.0), norm,
+                      np.nextafter(norm, np.inf), 2.0 * norm):
+            assert mk.norm_below([a], bound) == (norm < bound)

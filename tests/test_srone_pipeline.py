@@ -163,10 +163,13 @@ def test_open_block_points_bracket(two_level_model, rng):
         assert np.all(np.abs(v[mags > delta]) > 0.0)
 
 
-def svd_bisection(g, eps, rtol=0.0):
+def svd_bisection(g, eps, rtol=0.0, bracket=True):
     """The threshold search measuring every step with norm_dist (one SVD per
     point): 60 bisection steps from the same bracket, stopping early once
-    the bracket is no wider than rtol relative to hi."""
+    the bracket is no wider than rtol relative to hi. With ``bracket``, a
+    search that does not zero everything starts below eps and tries
+    eps*(1 - rtol) first, as open_block_points does; without it, the search
+    starts from the wipe bound alone."""
     n_l = g.model.largest_dim
 
     def dist_at(delta):
@@ -179,6 +182,14 @@ def svd_bisection(g, eps, rtol=0.0):
     if dist_at(hi) < eps:
         lo = hi
     else:
+        if bracket:
+            hi = min(hi, eps)
+            probe = eps * (1 - rtol)
+            if lo < probe < hi:
+                if dist_at(probe) < eps:
+                    lo = probe
+                else:
+                    hi = probe
         for _ in range(60):
             if hi - lo <= rtol * hi:
                 break
@@ -218,8 +229,8 @@ def test_open_block_points_matches_svd_bisection(two_level_model, rng, make, eps
     assert (delta, dist) == (ref_delta, ref_dist)
     for ref in two_level_model.free_refs():
         assert np.array_equal(out.values[ref], ref_out.values[ref])
-    # precision contract against the fully resolved search
-    _, ref60_delta, _ = svd_bisection(g, eps)
+    # precision contract against the fully resolved search from the wipe bound
+    _, ref60_delta, _ = svd_bisection(g, eps, bracket=False)
     assert ref60_delta * (1 - 2 * mk.THRESHOLD_RTOL) <= delta <= ref60_delta
     assert dist < eps
 
@@ -256,6 +267,20 @@ def test_open_block_points_stop_saves_svds(two_level_model, rng, monkeypatch):
     monkeypatch.setattr(sp, "THRESHOLD_RTOL", 0.0)  # the search without the stop
     sp.open_block_points(g, 0.0625)
     assert stopped < len(calls)
+
+
+def test_open_block_points_probe_ends_the_search_without_svd(two_level_model, rng,
+                                                            monkeypatch):
+    # every difference is delta times a permutation, so the norm bounds
+    # decide the first probe, which passes and leaves a bracket of width
+    # THRESHOLD_RTOL * eps
+    g = monomial_element(two_level_model, rng)
+    calls = []
+    op_norm = mk.op_norm
+    monkeypatch.setattr(mk, "op_norm", lambda a: calls.append(1) or op_norm(a))
+    _, delta, dist = sp.open_block_points(g, 0.0625)
+    assert calls == []
+    assert delta == 0.0625 * (1 - mk.THRESHOLD_RTOL) and dist < 0.0625
 
 
 def synthetic_condensation_fixture(rng, scale=0.01):

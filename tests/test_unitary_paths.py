@@ -17,6 +17,63 @@ def test_transposition_endpoints():
     assert np.max(np.abs(up.u_transposition(spec, 1.0) - swap)) <= 1e-12
 
 
+def test_transposition_profile_is_the_exact_flip_at_one():
+    assert up.transposition_profile(1.0) == (0, 1, 1, 0)
+    assert all(type(g) is np.complex128 for g in up.transposition_profile(1.0))
+    spec = up.TranspositionPathSpec(2, 4, 5)
+    swap = mk.perm_matrix(mk.Permutation.transposition(5, 2, 4))
+    assert np.array_equal(up.u_transposition(spec, 1.0), swap)
+
+
+def test_transposition_profile_unchanged_inside(rng):
+    # the formula the path suites test, bit for bit, everywhere but t = 1
+    for t in [0.0, 0.5, np.nextafter(1.0, 0.0), 1e-300] + list(rng.random(20)):
+        phase = np.exp(-1j * np.pi * t / 2)
+        g1 = phase * np.cos(np.pi * t / 2)
+        g2 = 1j * phase * np.sin(np.pi * t / 2)
+        got = up.transposition_profile(t)
+        assert all(np.array_equal(x, y) for x, y in zip(got, (g1, g2, g2, g1)))
+
+
+def _zero_one_only(v):
+    return bool(np.all((v == 0) | (v == 1)))
+
+
+def test_pipeline_unitaries_at_path_ends_are_exact_permutations(rng, monkeypatch):
+    from dsh_lab import dynamics as dyn
+    from dsh_lab import srone_pipeline as sp
+
+    fib = dyn.Substitution.fibonacci()
+    bases = dyn.fibonacci_prefix_bases(fib, 14)
+    chain = dyn.build_cylinder_chain(fib, bases[:3], base_horizon=1, max_points_per_level=16)
+    while chain.towers[-1].model.smallest_dim < 67:
+        chain = dyn.extend_cylinder_chain(fib, chain, bases[chain.depth], 16)
+    maps = list(chain.maps)
+    planted = sp.plant_singular_element(chain.model(1), rng, 0.05)
+
+    gathered = []
+
+    def gather_multi(*args):
+        out = up.gather_multi(*args)
+        gathered.append(out[0])
+        return out
+
+    monkeypatch.setattr(sp, "gather_multi", gather_multi)
+    zc = sp.make_zero_cross(planted, 0.25 / 4)
+    prop = sp.propagate_crosses(maps, 1, zc)
+    g_prime, _, _ = sp.open_block_points(prop.image, 0.25 / 4)
+    assert any(np.any(v) for v in g_prime.values.values())   # not wiped
+    v3, g_second, _ = sp.condense_crosses(g_prime, prop.M, prop.N)
+    v4, _, _ = sp.triangulate(g_second, prop.N)
+
+    nm = prop.N * prop.M
+    assert _zero_one_only(up.condense_path(nm, tuple(1 + a * prop.M for a in range(prop.N)))(1.0))
+    assert gathered and all(_zero_one_only(v) for v in gathered)
+    for el in (v3, v4):
+        for v in el.values.values():
+            assert _zero_one_only(v) and mk.is_unitary(v, 0.0)
+
+
 def test_transposition_midpoint_profile():
     g1, g2, g3, g4 = up.transposition_profile(0.5)
     assert abs(g1) == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
