@@ -16,22 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .matrixkit import (
+    _freeze,
     _frozen,
     direct_sum,
+    has_block_point,
     matrix_from_json,
-    matrix_to_json,
     min_singular_value,
     op_norm,
 )
 
 
-@dataclass(frozen=True, order=True)
-class PointRef:
+class PointRef(NamedTuple):
+    """A point of a model by level and id; a tuple, so it hashes in C."""
+
     level: int
     point: str
 
@@ -76,7 +78,9 @@ class FiniteDshModel:
         return self.levels[i - 1]
 
     def dim(self, i: int) -> int:
-        return self.level(i).dim
+        if not (1 <= i <= len(self._dims)):
+            raise IndexError(f"level {i} out of range")
+        return self._dims[i - 1]
 
     @property
     def smallest_dim(self) -> int:
@@ -88,6 +92,10 @@ class FiniteDshModel:
 
     # The index: built once per model on first use. cached_property stores
     # into the instance dict, so equality and hashing still see only levels.
+
+    @cached_property
+    def _dims(self) -> tuple[int, ...]:
+        return tuple(lvl.dim for lvl in self.levels)
 
     @cached_property
     def _points(self) -> dict[PointRef, tuple[ModelPoint, int]]:
@@ -183,7 +191,9 @@ class Element:
 
     Values at glued points are always derived by diagonal assembly. Supports
     pointwise algebra: ``e1 * e2``, ``e1 + e2``, ``e1 - e2``, ``c * e``,
-    ``e.adjoint()``.
+    ``e.adjoint()``. Values are read-only: a writeable array passed in is
+    copied, and the package's own operations freeze the arrays they have
+    just built in place instead.
     """
 
     __slots__ = ("model", "values")
@@ -197,45 +207,50 @@ class Element:
         points = model._points
         stored: dict[PointRef, np.ndarray] = {}
         for ref in model.free_refs():
-            v = np.asarray(values[ref], dtype=np.complex128)
+            v = _frozen(values[ref])
             n = points[ref][1]
             if v.shape != (n, n):
                 raise ValueError(f"value at {ref} has shape {v.shape}, expected ({n}, {n})")
-            stored[ref] = _frozen(v)
+            stored[ref] = v
         self.model = model
         self.values = stored
 
     def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Element":
-        return Element(self.model, {r: fn(v) for r, v in self.values.items()})
+        """Apply ``fn`` at every free point; ``fn`` must return a new array."""
+        return Element(self.model, {r: _freeze(fn(v)) for r, v in self.values.items()})
 
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         if self.model != other.model:
             raise ValueError("elements live on different models")
-        return Element(self.model, {r: v @ other.values[r] for r, v in self.values.items()})
+        return Element(self.model,
+                       {r: _freeze(v @ other.values[r]) for r, v in self.values.items()})
 
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         if self.model != other.model:
             raise ValueError("elements live on different models")
-        return Element(self.model, {r: v + other.values[r] for r, v in self.values.items()})
+        return Element(self.model,
+                       {r: _freeze(v + other.values[r]) for r, v in self.values.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         if self.model != other.model:
             raise ValueError("elements live on different models")
-        return Element(self.model, {r: v - other.values[r] for r, v in self.values.items()})
+        return Element(self.model,
+                       {r: _freeze(v - other.values[r]) for r, v in self.values.items()})
 
     def __rmul__(self, c) -> "Element":
         if isinstance(c, (int, float, complex)):
-            return Element(self.model, {r: c * v for r, v in self.values.items()})
+            return Element(self.model, {r: _freeze(c * v) for r, v in self.values.items()})
         return NotImplemented
 
     def adjoint(self) -> "Element":
-        return Element(self.model, {r: v.conj().T for r, v in self.values.items()})
+        return Element(self.model, {r: _freeze(np.conjugate(v.T, order="C"))
+                                    for r, v in self.values.items()})
 
 
 def eval_element(e: Element, ref: PointRef) -> np.ndarray:
@@ -247,23 +262,37 @@ def eval_element(e: Element, ref: PointRef) -> np.ndarray:
 
 
 def unit_element(m: FiniteDshModel) -> Element:
-    return Element(m, {r: np.eye(m.dim(r.level), dtype=np.complex128) for r in m.free_refs()})
-
-
-def zero_element(m: FiniteDshModel) -> Element:
-    return Element(m, {r: np.zeros((m.dim(r.level),) * 2, dtype=np.complex128) for r in m.free_refs()})
+    return Element(m, {r: _freeze(np.eye(m.dim(r.level), dtype=np.complex128))
+                       for r in m.free_refs()})
 
 
 def scalar_element(m: FiniteDshModel, c: complex) -> Element:
     return c * unit_element(m)
 
 
+def random_value_stack(m: FiniteDshModel, rng: np.random.Generator, count: int,
+                       scale: float = 1.0) -> dict[PointRef, np.ndarray]:
+    """The values of ``count`` successive ``random_element`` draws, stacked
+    per free point into shape (count, n, n).
+
+    One ``standard_normal`` draw covers them all, in the stream order of
+    the successive draws (per element, per free point: real part, then
+    imaginary part); the generator fills it sequentially, so the values and
+    the generator's final state are bitwise those of ``count`` calls.
+    """
+    dims = [m.dim(r.level) for r in m.free_refs()]
+    draw = rng.standard_normal((count, 2 * sum(n * n for n in dims)))
+    out, off = {}, 0
+    for r, n in zip(m.free_refs(), dims):
+        re = draw[:, off:off + n * n].reshape(count, n, n)
+        im = draw[:, off + n * n:off + 2 * n * n].reshape(count, n, n)
+        out[r] = scale * (re + 1j * im)
+        off += 2 * n * n
+    return out
+
+
 def random_element(m: FiniteDshModel, rng: np.random.Generator, scale: float = 1.0) -> Element:
-    vals = {}
-    for r in m.free_refs():
-        n = m.dim(r.level)
-        vals[r] = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return Element(m, vals)
+    return Element(m, {r: _freeze(v[0]) for r, v in random_value_stack(m, rng, 1, scale).items()})
 
 
 def block_starts(m: FiniteDshModel) -> Mapping[PointRef, tuple[int, ...]]:
@@ -306,9 +335,7 @@ def witness_no_block_point(m: FiniteDshModel, ref: PointRef, k: int) -> Element:
 
     vals = {r: np.zeros((m.dim(r.level),) * 2, dtype=np.complex128) for r in m.free_refs()}
     vals[target][local_k - 2, local_k - 1] = 1.0
-    out = Element(m, vals)
-    from .matrixkit import has_block_point
-
+    out = Element(m, {r: _freeze(v) for r, v in vals.items()})
     if has_block_point(eval_element(out, ref), k):
         raise RuntimeError(f"witness construction failed at {ref}, k={k}")
     return out
@@ -426,7 +453,7 @@ def build_indicator(m: FiniteDshModel, M: int, K: Sequence[int], F=None) -> Elem
         for start in starts[ref]:
             for kt in ks:
                 diag[start + kt - 1] = 1.0
-        vals[ref] = np.diag(diag).astype(np.complex128)
+        vals[ref] = _freeze(np.diag(diag).astype(np.complex128))
     theta = Element(m, vals)
 
     for ref in m.all_refs():
@@ -560,28 +587,6 @@ def model_to_json(m: FiniteDshModel) -> dict:
             }
             for lvl in m.levels
         ]
-    }
-
-
-def model_from_json(obj: dict) -> FiniteDshModel:
-    levels = []
-    for lvl in obj["levels"]:
-        pts = []
-        for p in lvl["points"]:
-            gluing = None
-            if p["glued"]:
-                gluing = tuple(PointRef(r["level"], r["point"]) for r in p["gluing"])
-            pts.append(ModelPoint(p["id"], gluing))
-        levels.append(Level(int(lvl["dim"]), tuple(pts)))
-    return FiniteDshModel(tuple(levels))
-
-
-def element_to_json(e: Element) -> dict:
-    return {
-        "values": {
-            f"{r.level}/{r.point}": matrix_to_json(v)
-            for r, v in sorted(e.values.items())
-        }
     }
 
 

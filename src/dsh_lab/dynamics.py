@@ -27,7 +27,7 @@ from .dsh_model import (
     ModelPoint,
     PointRef,
 )
-from .matrixkit import _frozen
+from .matrixkit import _freeze
 
 DEFAULT_SCAN_LENGTH = 20_000
 
@@ -329,7 +329,7 @@ def eval_generator_f(tower: TowerModel, ref: PointRef, f: WordFunction, arity: i
             f"horizon deficit: point word has length {len(word)}, need {n + arity}"
         )
     vals = [complex(f(word[k:k + arity])) for k in range(1, n + 1)]
-    return _frozen(np.diag(np.asarray(vals, dtype=np.complex128)))
+    return _freeze(np.diag(np.asarray(vals, dtype=np.complex128)))
 
 
 def eval_generator_ug(tower: TowerModel, ref: PointRef, g: WordFunction, arity: int) -> np.ndarray:
@@ -357,7 +357,7 @@ def eval_generator_ug(tower: TowerModel, ref: PointRef, g: WordFunction, arity: 
             )
         if k > 0:
             out[k, k - 1] = val
-    return _frozen(out)
+    return _freeze(out)
 
 
 def generator_element_f(tower: TowerModel, f: WordFunction, arity: int) -> Element:

@@ -46,12 +46,23 @@ SANDWICH_RTOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only complex array with the entries of ``a``: ``a`` itself when
+    it is already read-only, else a copy."""
     out = np.asarray(a, dtype=np.complex128)
     if out.flags.writeable:
         # copy rather than flip flags on memory the caller may still hold
         out = out.copy(order="C")
         out.flags.writeable = False
     return out
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Make an array that the package has just built read-only, in place.
+
+    Only for fresh arrays that no caller holds; ``_frozen`` copies the rest.
+    """
+    a.flags.writeable = False
+    return a
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -63,7 +74,7 @@ def as_matrix(entries) -> np.ndarray:
         raise ValueError("matrices must have positive dimension")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    return _frozen(a)
+    return _freeze(a)
 
 
 def direct_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -78,7 +89,7 @@ def direct_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
         d = b.shape[0]
         out[off:off + d, off:off + d] = b
         off += d
-    return _frozen(out)
+    return _freeze(out)
 
 
 @dataclass(frozen=True)
@@ -151,7 +162,7 @@ def perm_matrix(p: Permutation) -> np.ndarray:
     out = np.zeros((p.n, p.n), dtype=np.complex128)
     for j in range(1, p.n + 1):
         out[p(j) - 1, j - 1] = 1.0
-    return _frozen(out)
+    return _freeze(out)
 
 
 def _check_position(n: int, k: int) -> None:

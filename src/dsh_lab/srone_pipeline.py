@@ -58,7 +58,7 @@ from .matrixkit import (
     SANDWICH_RTOL,
     THRESHOLD_RTOL,
     Permutation,
-    _frozen,
+    _freeze,
     diagonal_radius,
     has_block_point,
     has_zero_cross,
@@ -161,15 +161,18 @@ class PipelineCertificate:
         }
 
 
+def _min_singular_values(e: Element) -> dict[PointRef, float]:
+    """The smallest singular value of every free value, in point order: the
+    one scan from which a caller reads both whether ``e`` is invertible and
+    which point make_zero_cross rotates."""
+    return {ref: min_singular_value(e.values[ref]) for ref in sorted(e.model.free_refs())}
+
+
 def find_singular_point(e: Element, tol: float) -> PointRef | None:
     """A free point with min singular value <= tol, preferring the highest
     level (then the first point in order); None when there is no such point."""
-    best: PointRef | None = None
-    for ref in sorted(e.model.free_refs()):
-        if min_singular_value(e.values[ref]) <= tol:
-            if best is None or ref.level > best.level:
-                best = ref
-    return best
+    svs = _min_singular_values(e)
+    return max((r for r, sv in svs.items() if sv <= tol), key=lambda r: r.level, default=None)
 
 
 @dataclass
@@ -189,10 +192,10 @@ def _require_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
-def _zero_cross_point(e: Element, eps: float) -> PointRef:
+def _zero_cross_point(svs: dict[PointRef, float], eps: float) -> PointRef:
     """The point make_zero_cross rotates: the first point of the highest
-    level whose smallest singular value is below eps."""
-    svs = {ref: min_singular_value(e.values[ref]) for ref in sorted(e.model.free_refs())}
+    level whose smallest singular value (``svs``, from
+    ``_min_singular_values``) is below eps."""
     global_min = min(svs.values())
     if global_min > INVERTIBLE_TOL:
         raise NotCloseToSingularError(
@@ -206,15 +209,17 @@ def _zero_cross_point(e: Element, eps: float) -> PointRef:
     return max(candidates, key=lambda r: r.level)
 
 
-def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
+def make_zero_cross(e: Element, eps: float,
+                    svs: dict[PointRef, float] | None = None) -> ZeroCrossStage:
     """Perturb within eps and rotate so row/column 1 vanishes at one point.
 
     The smallest singular value at the located point is replaced by zero
     (that is the whole distance), and the unitaries carry the corresponding
     singular bases so that vL e' vR has a zero cross in position 1 there.
+    ``svs`` is ``_min_singular_values(e)`` when the caller has it already.
     """
     _require_eps(eps)
-    p_star = _zero_cross_point(e, eps)
+    p_star = _zero_cross_point(_min_singular_values(e) if svs is None else svs, eps)
     n = e.model.dim(p_star.level)
     a = e.values[p_star]
 
@@ -229,7 +234,7 @@ def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
         s_cut[-1] = 0.0
         a_prime = u_svd @ np.diag(s_cut).astype(np.complex128) @ vh
         vals = dict(e.values)
-        vals[p_star] = a_prime
+        vals[p_star] = _freeze(a_prime)
         e_prime = Element(e.model, vals)
         p_swap = perm_matrix(Permutation.transposition(n, 1, n)) if n > 1 else np.eye(1)
         v_mat = p_swap @ u_svd.conj().T
@@ -238,8 +243,8 @@ def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
     unit = unit_element(e.model)
     left_vals = dict(unit.values)
     right_vals = dict(unit.values)
-    left_vals[p_star] = v_mat
-    right_vals[p_star] = w_mat
+    left_vals[p_star] = _freeze(v_mat)
+    right_vals[p_star] = _freeze(w_mat)
     v_left = Element(e.model, left_vals)
     v_right = Element(e.model, right_vals)
 
@@ -248,7 +253,7 @@ def make_zero_cross(e: Element, eps: float) -> ZeroCrossStage:
         d = np.zeros((e.model.dim(ref.level),) * 2, dtype=np.complex128)
         if ref == p_star:
             d[0, 0] = 1.0
-        delta_vals[ref] = d
+        delta_vals[ref] = _freeze(d)
     delta = Element(e.model, delta_vals)
 
     rotated = (v_left * e_prime * v_right).values[p_star]
@@ -440,7 +445,7 @@ def condense_crosses(g_prime: Element, M: int, N: int,
         v = np.eye(model.dim(ref.level), dtype=np.complex128)
         for k in np.flatnonzero(np.diag(theta.values[ref])):
             v[k:k + nm, k:k + nm] = block
-        v_vals[ref] = _frozen(v)
+        v_vals[ref] = _freeze(v)
     v3 = Element(model, v_vals)
     out = v3 * g_prime * v3.adjoint()
 
@@ -513,19 +518,19 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     if not (1 <= j <= len(models)) or a.model != models[j - 1]:
         raise ValueError("element does not live at chain position j")
 
-    if find_singular_point(a, INVERTIBLE_TOL) is None:
-        minsv = min_singular_over_points(a)
+    svs = _min_singular_values(a)
+    if min(svs.values()) > INVERTIBLE_TOL:
         cert = PipelineCertificate(
             input_id=input_id, epsilon=eps,
             stages=[StageRecord("already_invertible", 0.0, (),
                                 [("invertible", True, None)])],
             output=a, output_stage=j, total_distance=0.0,
-            min_singular_value=minsv,
+            min_singular_value=min(svs.values()),
             runtime_ms=1000 * (time.perf_counter() - t0),
         )
         return a, cert
 
-    zc = make_zero_cross(a, eps / 4)
+    zc = make_zero_cross(a, eps / 4, svs)
     prop = propagate_crosses(chain, j, zc)
 
     g_prime, delta_thresh, d_thresh = open_block_points(prop.image, eps / 4)
@@ -596,10 +601,11 @@ def plan_chain(s: Substitution, chain: CylinderChain, max_depth: int, a: Element
     again.
     """
     _require_eps(eps)
-    if find_singular_point(a, INVERTIBLE_TOL) is None:
+    svs = _min_singular_values(a)
+    if min(svs.values()) > INVERTIBLE_TOL:
         return chain
     # eps/4 is the budget approximate_by_invertible gives make_zero_cross
-    U = {_zero_cross_point(a, eps / 4)}
+    U = {_zero_cross_point(svs, eps / 4)}
     while True:
         try:
             gathering_plan(list(chain.maps), 1, U)
@@ -630,5 +636,5 @@ def plant_singular_element(model: FiniteDshModel, rng: np.random.Generator,
             u, s, vh = np.linalg.svd(m)
             s[-1] = 0.0
             m = u @ np.diag(s).astype(np.complex128) @ vh
-        vals[ref] = m
+        vals[ref] = _freeze(m)
     return Element(model, vals)

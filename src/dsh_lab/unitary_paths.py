@@ -11,6 +11,8 @@ conjugation ``V A V*`` therefore applies the *rightmost* factor first.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +22,7 @@ from .matrixkit import (
     DEFAULT_ATOL,
     PATH_ATOL,
     Permutation,
-    _frozen,
+    _freeze,
     cycle_perm,
     diagonal_radius,
     has_zero_cross,
@@ -104,13 +106,27 @@ def _check_t(t: float) -> float:
 
 
 def _rmul_transposition(m: np.ndarray, a: int, b: int, t: float) -> None:
-    """In place m <- m @ u_{(a b)}(t); a == b or t == 0 is the identity."""
+    """In place m <- m @ u_{(a b)}(t); a == b or t == 0 is the identity.
+
+    Only columns a and b change, each to a combination of the two with the
+    core's scalar coefficients (symmetric in a and b). At t = 1 this is an
+    exact column swap. Inside, the coefficients come from ``math``/``cmath``
+    and agree with ``transposition_profile`` up to rounding.
+    """
     if a == b or t == 0.0:
         return
-    a, b = (a, b) if a < b else (b, a)
-    g1, g2, _, _ = transposition_profile(t)
-    core = np.array([[g1, g2], [g2, g1]])
-    m[:, [a - 1, b - 1]] = m[:, [a - 1, b - 1]] @ core
+    i, j = a - 1, b - 1
+    if t == 1.0:
+        m[:, [i, j]] = m[:, [j, i]]
+        return
+    half = math.pi * t / 2
+    phase = cmath.exp(-1j * half)
+    g1 = phase * math.cos(half)
+    g2 = 1j * phase * math.sin(half)
+    x = m[:, i].copy()
+    y = m[:, j]
+    m[:, i] = g1 * x + g2 * y
+    m[:, j] = g2 * x + g1 * y
 
 
 def u_transposition(spec: TranspositionPathSpec, t: float) -> np.ndarray:
@@ -118,7 +134,7 @@ def u_transposition(spec: TranspositionPathSpec, t: float) -> np.ndarray:
     t = _check_t(t)
     out = np.eye(spec.n, dtype=np.complex128)
     _rmul_transposition(out, spec.k1, spec.k2, t)
-    return _frozen(out)
+    return _freeze(out)
 
 
 def eta_permutation(k: int, n: int, N: int) -> Permutation:
@@ -149,7 +165,7 @@ def eta_path(k: int, n: int, N: int, t: float, ambient: int | None = None) -> np
     out = np.eye(n, dtype=np.complex128)
     for j in range(1, N + 1):
         _rmul_transposition(out, k - N + j, amb - N + j, t)
-    return _frozen(out)
+    return _freeze(out)
 
 
 def _rmul_window(v: np.ndarray, k: int, delta: ThetaVector, m_window: int) -> None:
@@ -202,7 +218,7 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
             raise RuntimeError(f"gathering failed to produce a zero cross at {k}")
     if diagonal_radius(b, PATH_ATOL) > diagonal_radius(a) + m_window - 1:
         raise RuntimeError("diagonal radius grew by more than M-1")
-    return _frozen(total), _frozen(b)
+    return _freeze(total), _freeze(b)
 
 
 @dataclass(frozen=True)
@@ -258,7 +274,7 @@ def condense_path(n: int, zs: Sequence[int]) -> UnitaryPath:
         out = np.eye(n, dtype=np.complex128)
         for t in range(m, 0, -1):
             _rmul_cycle_gather(out, 1, zs[t - 1], ramp(m, t, theta))
-        return _frozen(out)
+        return _freeze(out)
 
     return UnitaryPath(n, fn)
 
@@ -307,7 +323,7 @@ def v_n(theta, N: int, validate: bool = True) -> np.ndarray:
         if t > 0.0:
             for j in range(1, N + 1):
                 _rmul_transposition(out, k - N + j, n - N + j, t)
-    return _frozen(out)
+    return _freeze(out)
 
 
 def triangulate_check(a: np.ndarray, theta, N: int) -> np.ndarray:
@@ -334,4 +350,4 @@ def triangulate_check(a: np.ndarray, theta, N: int) -> np.ndarray:
     if upper.size and upper.max() > PATH_ATOL:
         i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
         raise RuntimeError(f"entry ({i + 1}, {j + 1}) = {t[i, j]} above the diagonal")
-    return _frozen(t)
+    return _freeze(t)

@@ -1,7 +1,38 @@
+"""Shared fixtures, and helpers that only the tests use (import them with
+``from conftest import ...``)."""
+
 import numpy as np
 import pytest
 
-from dsh_lab.dsh_model import FiniteDshModel, Level, ModelPoint, PointRef
+from dsh_lab.dsh_model import Element, FiniteDshModel, Level, ModelPoint, PointRef
+from dsh_lab.matrixkit import matrix_to_json
+
+
+def zero_element(m: FiniteDshModel) -> Element:
+    return Element(m, {r: np.zeros((m.dim(r.level),) * 2, dtype=np.complex128)
+                       for r in m.free_refs()})
+
+
+def model_from_json(obj: dict) -> FiniteDshModel:
+    levels = []
+    for lvl in obj["levels"]:
+        pts = []
+        for p in lvl["points"]:
+            gluing = None
+            if p["glued"]:
+                gluing = tuple(PointRef(r["level"], r["point"]) for r in p["gluing"])
+            pts.append(ModelPoint(p["id"], gluing))
+        levels.append(Level(int(lvl["dim"]), tuple(pts)))
+    return FiniteDshModel(tuple(levels))
+
+
+def element_to_json(e: Element) -> dict:
+    return {
+        "values": {
+            f"{r.level}/{r.point}": matrix_to_json(v)
+            for r, v in sorted(e.values.items())
+        }
+    }
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 
 from dsh_lab import cli
 from dsh_lab import verify as vf
+from conftest import element_to_json, zero_element
 
 
 def run_cli(capsys, *argv):
@@ -150,14 +151,13 @@ def test_pipeline_end_to_end_certificate(tmp_path, capsys):
 
 
 def test_pipeline_loads_element_from_file(tmp_path, capsys):
-    from dsh_lab import dsh_model as dm
     from dsh_lab import dynamics as dyn
 
     fib = dyn.Substitution.fibonacci()
     stage1 = dyn.build_tower_model(fib, "0", 1, max_points_per_level=16)
-    element = dm.zero_element(stage1.model)
+    element = zero_element(stage1.model)
     src = tmp_path / "element.json"
-    src.write_text(json.dumps(dm.element_to_json(element)))
+    src.write_text(json.dumps(element_to_json(element)))
     code, out, _ = run_cli(capsys, "pipeline", "--epsilon", "0.25",
                            "--element", str(src))
     assert code == 0
@@ -172,9 +172,9 @@ def test_pipeline_gathering_failure_exits_2(capsys, monkeypatch):
 
     make_zero_cross = sp.make_zero_cross
 
-    def unrotated(e, eps):  # leaves the gate on a point without a zero cross
+    def unrotated(e, eps, *scan):  # leaves the gate on a point without a zero cross
         unit = dm.unit_element(e.model)
-        return dataclasses.replace(make_zero_cross(e, eps), left=unit, right=unit)
+        return dataclasses.replace(make_zero_cross(e, eps, *scan), left=unit, right=unit)
 
     monkeypatch.setattr(sp, "make_zero_cross", unrotated)
     code, out, err = run_cli(capsys, "pipeline", "--seed", "5")
@@ -290,12 +290,11 @@ def test_pipeline_tiny_plant_scale_runs_without_warnings():
 
 
 def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
-    from dsh_lab import dsh_model as dm
     from dsh_lab import dynamics as dyn
 
     fib = dyn.Substitution.fibonacci()
     stage1 = dyn.build_tower_model(fib, "0", 1, max_points_per_level=16)
-    blob = dm.element_to_json(dm.zero_element(stage1.model))
+    blob = element_to_json(zero_element(stage1.model))
     next(iter(blob["values"].values()))["entries"][0][0] = [float("nan"), 0.0]
     src = tmp_path / "element.json"
     src.write_text(json.dumps(blob))

@@ -7,6 +7,7 @@ from dsh_lab import dsh_model as dm
 from dsh_lab import matrixkit as mk
 from dsh_lab import verify as vf
 from dsh_lab.dsh_model import FiniteDshModel, Level, ModelPoint, PointRef
+from conftest import element_to_json, model_from_json, zero_element
 
 
 def test_validate_single_level():
@@ -105,7 +106,7 @@ def test_glued_predicates_follow_their_free_components(three_level_model):
 def test_element_requires_complete_free_assignment(two_level_model):
     with pytest.raises(ValueError, match="missing"):
         dm.Element(two_level_model, {PointRef(1, "a"): np.eye(3)})
-    full = dict(dm.zero_element(two_level_model).values)
+    full = dict(zero_element(two_level_model).values)
     short = {r: v for r, v in full.items() if r != PointRef(1, "b")}
     with pytest.raises(ValueError) as exc:
         dm.Element(two_level_model, short)
@@ -150,7 +151,7 @@ def test_model_index_agrees_with_linear_scan(three_level_model):
 
 
 def test_equal_models_stay_equal_after_indexing(three_level_model):
-    twin = dm.model_from_json(dm.model_to_json(three_level_model))
+    twin = model_from_json(dm.model_to_json(three_level_model))
     assert twin is not three_level_model
     dm.block_starts(three_level_model)
     dm.random_element(three_level_model, np.random.default_rng(1))
@@ -330,7 +331,7 @@ def test_soft_threshold_identity_and_cut(two_level_model, rng):
         for r in two_level_model.free_refs()
     })
     cut = dm.soft_threshold(small, 0.1)
-    assert dm.norm_dist(cut, dm.zero_element(two_level_model)) == 0.0
+    assert dm.norm_dist(cut, zero_element(two_level_model)) == 0.0
 
 
 def test_soft_threshold_distance_and_patterns(two_level_model, rng):
@@ -378,12 +379,125 @@ def test_simplicity_identity_chain_proper_subset(two_level_model):
 
 def test_model_json_round_trip(three_level_model):
     blob = json.dumps(dm.model_to_json(three_level_model), sort_keys=True)
-    back = dm.model_from_json(json.loads(blob))
+    back = model_from_json(json.loads(blob))
     assert back == three_level_model
 
 
 def test_element_json_round_trip(two_level_model, rng):
     e = dm.random_element(two_level_model, rng)
-    blob = json.dumps(dm.element_to_json(e))
+    blob = json.dumps(element_to_json(e))
     back = dm.element_from_json(two_level_model, json.loads(blob))
     assert dm.norm_dist(e, back) == 0.0
+
+
+def test_random_value_stack_is_the_stream_of_successive_draws(three_level_model):
+    m = three_level_model
+    stacked_rng, loop_rng, ref_rng = (np.random.default_rng(7) for _ in range(3))
+    stack = dm.random_value_stack(m, stacked_rng, 5, scale=0.3)
+    loop = [dm.random_element(m, loop_rng, scale=0.3) for _ in range(5)]
+    # reference: two standard_normal draws per free point, element by element
+    per_point = []
+    for _ in range(5):
+        vals = {}
+        for r in m.free_refs():
+            n = m.dim(r.level)
+            vals[r] = 0.3 * (ref_rng.standard_normal((n, n))
+                             + 1j * ref_rng.standard_normal((n, n)))
+        per_point.append(vals)
+    for r in m.free_refs():
+        assert stack[r].shape == (5, m.dim(r.level), m.dim(r.level))
+        for i in range(5):
+            assert stack[r][i].tobytes() == loop[i].values[r].tobytes()
+            assert stack[r][i].tobytes() == per_point[i][r].tobytes()
+    state = stacked_rng.bit_generator.state
+    assert state == loop_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_envelope_equals_the_max_over_assembled_values(three_level_model):
+    # 23 elements: two full slices and a short one
+    for m in (three_level_model, vf.random_model(np.random.default_rng(4))):
+        env_rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+        env = vf._sample_envelope(m, env_rng, 23)
+        sample = [dm.random_element(m, loop_rng) for _ in range(23)]
+        for ref in m.all_refs():
+            want = np.max(np.abs([dm.eval_element(e, ref) for e in sample]), axis=0)
+            assert np.array_equal(dm.eval_element(env, ref), want)
+        assert env_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_blockchar_fails_on_a_shifted_block_start_table(monkeypatch):
+    table = dm.block_starts
+
+    def shifted(m):  # every start after the first one position early
+        return {r: (1,) + tuple(s - 1 for s in st[1:]) for r, st in table(m).items()}
+
+    monkeypatch.setattr(dm, "block_starts", shifted)
+    r = vf.run_suite("blockchar", seed=0)
+    assert not r.passed
+    assert r.failure.startswith("element without block point at start")
+
+
+def test_blockchar_fails_when_direct_sum_misplaces_a_block(monkeypatch):
+    def misplaced(blocks):  # every block after the first one position early
+        blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
+        n = sum(b.shape[0] for b in blocks)
+        out = np.zeros((n, n), dtype=np.complex128)
+        off = 0
+        for i, b in enumerate(blocks):
+            at = off - 1 if i else off
+            out[at:at + b.shape[0], at:at + b.shape[0]] = b
+            off += b.shape[0]
+        return out
+
+    monkeypatch.setattr(dm, "direct_sum", misplaced)
+    r = vf.run_suite("blockchar", seed=0)
+    assert not r.passed
+    assert r.failure.startswith("element without block point at start")
+
+
+def test_package_built_values_are_read_only(two_level_model, rng):
+    m = two_level_model
+    e1, e2 = dm.random_element(m, rng), dm.random_element(m, rng)
+    ident = dm.identity_shaped_map(m, m, {r: r for r in m.free_refs()})
+    built = [e1, e1 * e2, e1 + e2, e1 - e2, 2.5 * e1, (1 - 2j) * e1, e1.adjoint(),
+             dm.soft_threshold(e1, 0.5), dm.apply_diagonal_map(ident, e1),
+             dm.unit_element(m), dm.witness_no_block_point(m, PointRef(2, "g"), 2)]
+    for e in built:
+        for v in e.values.values():
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 1.0
+    assert np.array_equal(e1.adjoint().values[PointRef(1, "a")],
+                          e1.values[PointRef(1, "a")].conj().T)
+    for ref in m.all_refs():
+        assert not dm.eval_element(e1, ref).flags.writeable
+
+
+def test_element_copies_the_arrays_it_is_given(two_level_model):
+    m = two_level_model
+    given = {r: np.ones((m.dim(r.level),) * 2, dtype=np.complex128) for r in m.free_refs()}
+    given[PointRef(1, "a")] = np.ones((3, 3))  # converted to complex on the way in
+    e = dm.Element(m, given)
+    for v in given.values():
+        v[0, 0] = 7.0
+        assert v.flags.writeable
+    for v in e.values.values():
+        assert v[0, 0] == 1.0
+    frozen = dict(e.values)
+    assert all(dm.Element(m, frozen).values[r] is frozen[r] for r in frozen)
+
+
+def test_dim_is_a_lookup_with_the_level_range_check(three_level_model):
+    assert [three_level_model.dim(i) for i in (1, 2, 3)] == [3, 6, 9]
+    for bad in (0, -1, 4):
+        with pytest.raises(IndexError, match=f"level {bad} out of range"):
+            three_level_model.dim(bad)
+
+
+def test_point_refs_order_hash_and_print_by_their_fields():
+    a, b = PointRef(1, "b"), PointRef(2, "a")
+    assert sorted([b, a]) == [a, b] and a < b
+    assert hash(a) == hash((1, "b")) and a == PointRef(1, "b")
+    assert repr(a) == "PointRef(level=1, point='b')" == str(a)
+    with pytest.raises(AttributeError):
+        a.level = 3

@@ -5,6 +5,7 @@ from dsh_lab import dsh_model as dm
 from dsh_lab import dynamics as dyn
 from dsh_lab import matrixkit as mk
 from dsh_lab.dsh_model import PointRef
+from conftest import zero_element
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +179,7 @@ def test_eval_generator_f_horizon_deficit(fib):
 def test_eval_generator_ug_values(fib):
     tower = dyn.build_tower_model(fib, "0", 3)
     zero = dyn.generator_element_ug(tower, lambda w: 0.0, 3)
-    assert dm.norm_dist(zero, dm.zero_element(tower.model)) == 0.0
+    assert dm.norm_dist(zero, zero_element(tower.model)) == 0.0
 
     lvl1 = [r for r in tower.model.free_refs() if r.level == 1][0]
     assert np.array_equal(

@@ -8,6 +8,7 @@ from dsh_lab import dynamics as dyn
 from dsh_lab import matrixkit as mk
 from dsh_lab import srone_pipeline as sp
 from dsh_lab.dsh_model import FiniteDshModel, Level, ModelPoint, PointRef
+from conftest import zero_element
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +320,7 @@ def test_condense_and_triangulate_synthetic(rng):
             for z in range(k, k + N):
                 assert mk.has_zero_cross(after, z, 1e-9)
         assert mk.diagonal_radius(after, 1e-9) <= mk.diagonal_radius(before) + 2
-    assert dm.norm_dist(g_second, dm.zero_element(model)) > 0
+    assert dm.norm_dist(g_second, zero_element(model)) > 0
 
     v4, t_el, _ = sp.triangulate(g_second, N)
     n_l = model.largest_dim
@@ -387,7 +388,7 @@ def test_triangulate_handoff_checked_at_path_atol(monkeypatch):
     # rordam_invert relies on triangulate's strictly_lower_triangular; with the
     # identity for V4 the product keeps a diagonal entry of the input
     model = FiniteDshModel((Level(8, (ModelPoint("x"),)),))
-    zero = dm.zero_element(model)
+    zero = zero_element(model)
     ref = PointRef(1, "x")
     monkeypatch.setattr(sp, "v_n", lambda theta, N: np.eye(len(theta), dtype=complex))
     sp.triangulate(_with_entry(zero, ref, 5, 5, 0.5 * mk.PATH_ATOL), 2)
@@ -407,7 +408,7 @@ def test_each_handoff_recorded_by_one_stage(rng):
 
 def test_rordam_invert_cases(rng):
     model = FiniteDshModel((Level(4, (ModelPoint("x"),)),))
-    zero = dm.zero_element(model)
+    zero = zero_element(model)
     out = sp.rordam_invert(zero, 0.3)
     assert dm.min_singular_over_points(out) == pytest.approx(0.3, abs=1e-12)
 
@@ -444,7 +445,7 @@ def _deepened_chain(required):
 
 def test_approximate_zero_element_budget_equality():
     chain = _deepened_chain(67)
-    zero = dm.zero_element(chain.model(1))
+    zero = zero_element(chain.model(1))
     eps = 0.25
     out, cert = sp.approximate_by_invertible(list(chain.maps), zero, eps)
     assert cert.total_distance == pytest.approx(eps / 8, abs=1e-12)
@@ -506,7 +507,7 @@ def test_singular_core_is_a_pipeline_error(rng, monkeypatch):
 
 
 def test_approximate_rejects_bad_epsilon(fib_chain):
-    e = dm.zero_element(fib_chain.model(1))
+    e = zero_element(fib_chain.model(1))
     with pytest.raises(ValueError, match="positive"):
         sp.approximate_by_invertible(list(fib_chain.maps), e, 0.0)
 

@@ -35,6 +35,42 @@ def test_transposition_profile_unchanged_inside(rng):
         assert all(np.array_equal(x, y) for x, y in zip(got, (g1, g2, g2, g1)))
 
 
+def _old_rmul_transposition(m, a, b, t):
+    """The kernel as a fancy-indexed product with the 2x2 core."""
+    g1, g2, _, _ = up.transposition_profile(t)
+    a, b = min(a, b), max(a, b)
+    m[:, [a - 1, b - 1]] = m[:, [a - 1, b - 1]] @ np.array([[g1, g2], [g2, g1]])
+
+
+def test_kernel_swaps_columns_exactly_at_one_and_is_identity_at_zero(rng):
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        a, b = (int(x) + 1 for x in rng.choice(n, 2, replace=False))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[rng.random((n, n)) < 0.3] = np.inf  # an exact swap moves even inf entries
+        out = m.copy()
+        up._rmul_transposition(out, a, b, 1.0)
+        want = m.copy()
+        want[:, [a - 1, b - 1]] = m[:, [b - 1, a - 1]]
+        assert out.tobytes() == want.tobytes()
+        out = m.copy()
+        up._rmul_transposition(out, a, b, 0.0)
+        assert out.tobytes() == m.tobytes()
+        up._rmul_transposition(out, a, a, 0.5)
+        assert out.tobytes() == m.tobytes()
+
+
+def test_kernel_agrees_with_the_core_product_inside(rng):
+    for t in [0.5, np.nextafter(1.0, 0.0), 1e-300, 1e-8] + list(rng.random(30)):
+        n = int(rng.integers(2, 12))
+        a, b = (int(x) + 1 for x in rng.choice(n, 2, replace=False))
+        m = np.exp(2j * np.pi * rng.random((n, n))) * rng.random((n, n))  # |entries| <= 1
+        new, old = m.copy(), m.copy()
+        up._rmul_transposition(new, a, b, float(t))
+        _old_rmul_transposition(old, a, b, float(t))
+        assert np.max(np.abs(new - old)) <= 1e-15
+
+
 def _zero_one_only(v):
     return bool(np.all((v == 0) | (v == 1)))
 
