@@ -25,6 +25,7 @@ from .matrixkit import (
     _frozen,
     direct_sum,
     has_block_point,
+    matmul,
     matrix_from_json,
     min_singular_value,
     op_norm,
@@ -225,7 +226,7 @@ class Element:
         if self.model != other.model:
             raise ValueError("elements live on different models")
         return Element(self.model,
-                       {r: _freeze(v @ other.values[r]) for r, v in self.values.items()})
+                       {r: _freeze(matmul(v, other.values[r])) for r, v in self.values.items()})
 
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -333,9 +334,13 @@ def witness_no_block_point(m: FiniteDshModel, ref: PointRef, k: int) -> Element:
         else:
             raise ValueError(f"position {k} is a block boundary at {ref}; no witness exists")
 
-    vals = {r: np.zeros((m.dim(r.level),) * 2, dtype=np.complex128) for r in m.free_refs()}
-    vals[target][local_k - 2, local_k - 1] = 1.0
-    out = Element(m, {r: _freeze(v) for r, v in vals.items()})
+    # every other free point shares one read-only zero of its dimension
+    zeros = {d: _freeze(np.zeros((d, d), dtype=np.complex128)) for d in m._dims}
+    vals = {r: zeros[m.dim(r.level)] for r in m.free_refs()}
+    v = np.zeros((m.dim(target.level),) * 2, dtype=np.complex128)
+    v[local_k - 2, local_k - 1] = 1.0
+    vals[target] = _freeze(v)
+    out = Element(m, vals)
     if has_block_point(eval_element(out, ref), k):
         raise RuntimeError(f"witness construction failed at {ref}, k={k}")
     return out

@@ -11,9 +11,7 @@ factoring inner return words over outer ones.
 
 from __future__ import annotations
 
-import bisect
 import functools
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -119,28 +117,78 @@ def fixed_point_prefix(s: Substitution, L: int) -> str:
     return w[:L]
 
 
-def occurrences(text: str, pattern: str) -> array:
+def _encode(text: str) -> np.ndarray:
+    """One code per symbol, equal to its code point: a byte per symbol for
+    latin-1 text, four bytes otherwise (read-only, sharing the encoded bytes)."""
+    try:
+        return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
+def _find(codes: np.ndarray, pattern: str) -> np.ndarray:
+    """Start offsets of pattern in the coded text, in increasing order.
+
+    The offsets where the first symbol matches are the candidates; each
+    later pattern symbol in turn keeps those whose shifted code matches it.
+    """
+    n, m = len(codes), len(pattern)
+    pat = [ord(c) for c in pattern]
+    if n < m or max(pat, default=0) > np.iinfo(codes.dtype).max:
+        return np.zeros(0, dtype=np.intp)
+    if not m:
+        return np.arange(n + 1)
+    cand = np.flatnonzero(codes[:n - m + 1] == pat[0])
+    for j in range(1, m):
+        cand = cand[codes[j:][cand] == pat[j]]
+    return cand
+
+
+def occurrences(text: str, pattern: str) -> np.ndarray:
     """All (possibly overlapping) start offsets of pattern in text, in
-    increasing order, as a compact integer array."""
-    out = array("q")
-    start = text.find(pattern)
-    while start != -1:
-        out.append(start)
-        start = text.find(pattern, start + 1)
-    return out
+    increasing order, as an integer array."""
+    return _find(_encode(text), pattern)
+
+
+def _first_distinct(codes: np.ndarray, starts: np.ndarray, length: int,
+                    limit: int | None = None) -> list[int]:
+    """The starts, in scan order, at which each distinct window
+    codes[a:a+length] occurs first, at most ``limit`` of them.
+
+    Each round keeps the first remaining start and drops every start whose
+    window equals its window, so it costs one comparison of the remaining
+    windows per distinct window found.
+    """
+    picks: list[int] = []
+    if not len(starts):
+        return picks
+    windows = np.lib.stride_tricks.sliding_window_view(codes, length)[starts]
+    while len(starts) and (limit is None or len(picks) < limit):
+        picks.append(int(starts[0]))
+        other = (windows != windows[0]).any(axis=1)
+        windows, starts = windows[other], starts[other]
+    return picks
+
+
+def _gap_groups(occs: np.ndarray) -> dict[int, np.ndarray]:
+    """The start offsets of consecutive occurrence pairs, grouped by the gap
+    to the next occurrence, each group in scan order."""
+    gaps = np.diff(occs)
+    return {n: _freeze(occs[:-1][gaps == n])
+            for n in np.flatnonzero(np.bincount(gaps)).tolist()}
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_base(s: Substitution, w: str, L_scan: int) -> tuple[str, memoryview]:
-    """The doubled scan prefix and the start offsets of w in it (read-only),
-    kept for the one base that ``return_words`` and ``build_tower_model``
-    both scan."""
+def _scan_base(s: Substitution, w: str, L_scan: int
+               ) -> tuple[str, np.ndarray, tuple[int, ...], dict[int, np.ndarray]]:
+    """The doubled scan prefix, its codes, the first two start offsets of w
+    in it and the start offsets of consecutive occurrence pairs grouped by
+    gap (``_gap_groups``), kept for the one base that ``return_words`` and
+    ``build_tower_model`` both scan."""
     prefix = fixed_point_prefix(s, 2 * L_scan)
-    return prefix, memoryview(occurrences(prefix, w)).toreadonly()
-
-
-def _return_word_set(prefix: str, occs: Sequence[int]) -> set[str]:
-    return {prefix[a:b] for a, b in zip(occs, occs[1:])}
+    codes = _encode(prefix)
+    occs = _find(codes, w)
+    return prefix, codes, tuple(occs[:2].tolist()), _gap_groups(occs)
 
 
 def return_words(s: Substitution, w: str, L_scan: int = DEFAULT_SCAN_LENGTH) -> list[str]:
@@ -149,24 +197,29 @@ def return_words(s: Substitution, w: str, L_scan: int = DEFAULT_SCAN_LENGTH) -> 
     Compares the fixed-point prefixes of lengths L_scan and 2*L_scan (one
     scan of the longer, whose first half is the shorter); for a linearly
     recurrent subshift the sets agree once the scan is long enough, which is
-    the stabilization certificate. Sorted by (length, word).
+    the stabilization certificate. The longer scan adds a word exactly when
+    some return word first occurs past the shorter one. Sorted by (length,
+    word).
     """
     if L_scan < 2 * len(w) + 2:
         raise ValueError(f"scan length {L_scan} is too short for |w| = {len(w)}")
-    prefix, occs = _scan_base(s, w, L_scan)
+    prefix, codes, first, groups = _scan_base(s, w, L_scan)
     # the length-L_scan prefix is the first half of the doubled one
-    short = occs[:bisect.bisect_right(occs, L_scan - len(w))]
-    if not short:
+    last = L_scan - len(w)
+    if not first or first[0] > last:
         raise ScanError(f"'{w}' does not occur in the scanned prefix")
-    found = _return_word_set(prefix, short)
-    if not found:
+    if len(first) < 2 or first[1] > last:
         raise ScanError(f"'{w}' occurs fewer than twice in the scanned prefix")
-    double = _return_word_set(prefix, occs)
-    if found != double:
-        raise ScanError(
-            f"return-word set for '{w}' did not stabilize at scan length {L_scan}; "
-            f"rescan with a larger L_scan"
-        )
+    found = []
+    for n, starts in groups.items():
+        for a in _first_distinct(codes, starts, n):
+            # the pair (a, a + n) lies in the shorter scan iff its end does
+            if a + n > last:
+                raise ScanError(
+                    f"return-word set for '{w}' did not stabilize at scan length {L_scan}; "
+                    f"rescan with a larger L_scan"
+                )
+            found.append(prefix[a:a + n])
     return sorted(found, key=lambda r: (len(r), r))
 
 
@@ -219,16 +272,14 @@ def build_tower_model(s: Substitution, w: str, horizon: int,
     times = sorted({len(r) for r in rws})
     by_time = {t: tuple(sorted(r for r in rws if len(r) == t)) for t in times}
 
-    prefix, occs = _scan_base(s, w, L_scan)
+    prefix, codes, _, groups = _scan_base(s, w, L_scan)
+    # every gap of the doubled scan is a return time: return_words checked it
     samples: dict[int, list[str]] = {t: [] for t in times}
-    for a, b in zip(occs, occs[1:]):
-        n = b - a
-        word = prefix[a:a + n + horizon]
-        if len(word) < n + horizon:
-            continue
-        bucket = samples[n]
-        if word not in bucket and len(bucket) < max_points_per_level:
-            bucket.append(word)
+    for n, starts in groups.items():
+        size = n + horizon
+        starts = starts[starts <= len(prefix) - size]
+        samples[n] = [prefix[a:a + size]
+                      for a in _first_distinct(codes, starts, size, max_points_per_level)]
     levels = []
     for t in times:
         pts = tuple(ModelPoint(word) for word in sorted(samples[t]))
@@ -262,7 +313,7 @@ def factorize_returns(outer: TowerModel, inner: TowerModel) -> dict[str, tuple[s
     for _, words in inner.return_time_words:
         for rw in words:
             extended = rw + w_inner
-            cuts = [p for p in occurrences(extended, w) if p < len(rw)]
+            cuts = [p for p in occurrences(extended, w).tolist() if p < len(rw)]
             if cuts[0] != 0:
                 raise ScanError(f"return word '{rw}' does not begin with '{w}'")
             cuts.append(len(rw))

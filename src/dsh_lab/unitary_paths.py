@@ -26,6 +26,7 @@ from .matrixkit import (
     cycle_perm,
     diagonal_radius,
     has_zero_cross,
+    matmul,
     perm_matrix,
     zero_cross_positions,
 )
@@ -212,7 +213,7 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
     for k in ks:
         _check_window(a.shape[0], k, delta, m_window)
         _rmul_window(total, k, delta, m_window)
-    b = total @ a @ total.conj().T
+    b = matmul(matmul(total, a), total.conj().T)
     for k in ks:
         if not has_zero_cross(b, k, PATH_ATOL):
             raise RuntimeError(f"gathering failed to produce a zero cross at {k}")

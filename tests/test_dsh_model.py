@@ -501,3 +501,30 @@ def test_point_refs_order_hash_and_print_by_their_fields():
     assert repr(a) == "PointRef(level=1, point='b')" == str(a)
     with pytest.raises(AttributeError):
         a.level = 3
+
+
+def test_products_with_permutation_values_are_dense_products(rng):
+    # wide enough that matmul goes by index
+    m = FiniteDshModel((Level(64, (ModelPoint("a"), ModelPoint("b"))),
+                        Level(128, (ModelPoint("c"),))))
+    e = dm.random_element(m, rng)
+    perms = dm.Element(m, {r: mk.perm_matrix(mk.Permutation(
+        tuple(int(i) + 1 for i in rng.permutation(m.dim(r.level))))) for r in m.free_refs()})
+    for prod, (x, y) in ((perms * e, (perms, e)), (e * perms, (e, perms)),
+                         (perms * perms.adjoint(), (perms, perms.adjoint()))):
+        for r, v in prod.values.items():
+            assert not v.flags.writeable
+            assert v.tobytes() == (x.values[r] @ y.values[r]).tobytes()
+
+
+def test_witness_shares_one_zero_per_dimension(three_level_model):
+    m = three_level_model
+    w = dm.witness_no_block_point(m, PointRef(3, "h"), 5)   # inside c, at local 5
+    target = PointRef(2, "c")
+    assert np.count_nonzero(w.values[target]) == 1 and w.values[target][3, 4] == 1.0
+    others = [r for r in m.free_refs() if r != target]
+    assert all(not w.values[r].any() and not w.values[r].flags.writeable for r in others)
+    by_dim = {}
+    for r in others:
+        assert by_dim.setdefault(m.dim(r.level), w.values[r]) is w.values[r]
+    assert not mk.has_block_point(dm.eval_element(w, PointRef(3, "h")), 5)

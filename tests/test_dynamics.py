@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,139 @@ def test_chain_rejects_non_nested_bases(fib):
 
 def test_prefix_length_schedule():
     assert dyn.prefix_length_schedule(7) == [1, 2, 3, 5, 8, 13, 21]
+
+
+# The str.find scan that the coded scan replaced, kept as the reference:
+# occurrences by repeated find, return-word sets of the short and the doubled
+# scan compared as sets, and the tower sample kept word by word in scan order.
+
+def ref_occurrences(text, pattern):
+    out = []
+    start = text.find(pattern)
+    while start != -1:
+        out.append(start)
+        start = text.find(pattern, start + 1)
+    return out
+
+
+def ref_return_words(s, w, L_scan):
+    if L_scan < 2 * len(w) + 2:
+        raise ValueError(f"scan length {L_scan} is too short for |w| = {len(w)}")
+    prefix = dyn.fixed_point_prefix(s, 2 * L_scan)
+    occs = ref_occurrences(prefix, w)
+    short = occs[:bisect.bisect_right(occs, L_scan - len(w))]
+    if not short:
+        raise dyn.ScanError(f"'{w}' does not occur in the scanned prefix")
+    found = {prefix[a:b] for a, b in zip(short, short[1:])}
+    if not found:
+        raise dyn.ScanError(f"'{w}' occurs fewer than twice in the scanned prefix")
+    if found != {prefix[a:b] for a, b in zip(occs, occs[1:])}:
+        raise dyn.ScanError(
+            f"return-word set for '{w}' did not stabilize at scan length {L_scan}; "
+            f"rescan with a larger L_scan"
+        )
+    return sorted(found, key=lambda r: (len(r), r))
+
+
+def ref_tower(s, w, horizon, cap, L_scan):
+    if horizon < len(w):
+        raise ValueError(f"horizon {horizon} shorter than the base word ({len(w)})")
+    rws = ref_return_words(s, w, L_scan)
+    times = sorted({len(r) for r in rws})
+    prefix = dyn.fixed_point_prefix(s, 2 * L_scan)
+    occs = ref_occurrences(prefix, w)
+    samples = {t: [] for t in times}
+    for a, b in zip(occs, occs[1:]):
+        word = prefix[a:a + b - a + horizon]
+        bucket = samples[b - a]
+        if len(word) == b - a + horizon and word not in bucket and len(bucket) < cap:
+            bucket.append(word)
+    levels = []
+    for t in times:
+        if not samples[t]:
+            raise dyn.ScanError(f"no sampled points at return time {t}; increase L_scan")
+        levels.append(dm.Level(t, tuple(dm.ModelPoint(x) for x in sorted(samples[t]))))
+    by_time = tuple((t, tuple(sorted(r for r in rws if len(r) == t))) for t in times)
+    return dyn.TowerModel(s, w, horizon, by_time, dm.FiniteDshModel(tuple(levels)))
+
+
+def ref_chain(s, bases, cap, L_scan, monkeypatch):
+    """The chain that build_cylinder_chain builds, from the reference scan;
+    embedding_map factors return words with the reference occurrences."""
+    monkeypatch.setattr(dyn, "occurrences", lambda t, p: np.array(ref_occurrences(t, p)))
+    try:
+        towers = [ref_tower(s, bases[0], len(bases[0]), cap, L_scan)]
+        maps = []
+        for base in bases[1:]:
+            prev = towers[-1]
+            h = max(prev.horizon + prev.max_return_time, len(base))
+            towers.append(ref_tower(s, base, h, cap, L_scan))
+            maps.append(dyn.embedding_map(prev, towers[-1]))
+        return dyn.CylinderChain(tuple(towers), tuple(maps))
+    finally:
+        monkeypatch.undo()
+
+
+def outcome(build):
+    """What a chain build shows: per tower its return-time words and point
+    ids in order, per map its lists in order; or the error's type and text."""
+    try:
+        chain = build()
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return ([(t.return_time_words, t.model.all_refs()) for t in chain.towers],
+            [list(m.lists.items()) for m in chain.maps])
+
+
+SCAN_SUBSTITUTIONS = {
+    "fibonacci": ({"0": "01", "1": "0"}, "0"),
+    "thue-morse": ({"0": "01", "1": "10"}, "0"),
+    "period-doubling": ({"0": "01", "1": "00"}, "0"),
+    "tribonacci": ({"0": "01", "1": "02", "2": "0"}, "0"),
+    "001-10": ({"0": "001", "1": "10"}, "0"),
+    "non-latin-1": ({"\u03b1": "\u03b1\u03b2", "\u03b2": "\u03b1"}, "\u03b1"),
+}
+
+
+def scan_substitution(name):
+    rules, seed = SCAN_SUBSTITUTIONS[name]
+    return dyn.Substitution(tuple(rules), rules, seed)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SUBSTITUTIONS))
+@pytest.mark.parametrize("L_scan", [60, 500, 20_000])
+@pytest.mark.parametrize("cap", [0, 2, 16, 32])
+def test_chain_matches_reference_scan(name, L_scan, cap, monkeypatch):
+    s = scan_substitution(name)
+    bases = dyn.fibonacci_prefix_bases(s, 11)
+    got = outcome(lambda: dyn.build_cylinder_chain(s, bases, None, cap, L_scan))
+    assert got == outcome(lambda: ref_chain(s, bases, cap, L_scan, monkeypatch))
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SUBSTITUTIONS))
+@pytest.mark.parametrize("L_scan", [14, 60, 500, 20_000])
+def test_return_words_match_reference_scan(name, L_scan):
+    s = scan_substitution(name)
+    prefix = dyn.fixed_point_prefix(s, 40)
+    # the chain's prefix bases, every factor of length 3 and one absent word
+    words = {prefix[:k] for k in dyn.prefix_length_schedule(8)}
+    words |= {prefix[i:i + 3] for i in range(len(prefix) - 2)} | {prefix[0] * 6}
+    for w in sorted(words):
+        results = []
+        for fn in (dyn.return_words, ref_return_words):
+            try:
+                results.append(fn(s, w, L_scan))
+            except ValueError as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1], w
+
+
+def test_occurrences_match_reference():
+    rng = np.random.default_rng(3)
+    texts = ["", "a", "aaaa", "abab", "\u03b1\u03b2\u03b1\u03b1\u03b2",
+             "".join(rng.choice(list("ab"), 300))]
+    patterns = ["", "a", "aa", "aba", "ab" * 3, "\u03b1", "\u03b1\u03b2", "\u00e9"]
+    for text in texts:
+        for pattern in patterns:
+            got = dyn.occurrences(text, pattern)
+            assert got.tolist() == ref_occurrences(text, pattern), (text, pattern)
