@@ -69,7 +69,6 @@ from .srone_pipeline import (
     PipelineCertificate,
     approximate_by_invertible,
     condense_crosses,
-    find_singular_point,
     make_zero_cross,
     open_block_points,
     propagate_crosses,

@@ -217,8 +217,8 @@ def _cmd_pipeline(args) -> int:
                                          base_horizon=args.horizon,
                                          max_points_per_level=args.max_points,
                                          L_scan=args.scan_length)
-    except ValueError as exc:  # ScanError, or a scan too short for the bases
-        raise DomainError(str(exc)) from exc
+    except (ValueError, KeyError) as exc:  # ScanError, a short scan, a shift with no point
+        raise DomainError(exc.args[0]) from exc
     if args.element:
         if not os.path.exists(args.element):
             raise UsageError(f"element file not found: {args.element}")
@@ -236,8 +236,8 @@ def _cmd_pipeline(args) -> int:
     try:
         chain = plan_chain(s, chain, args.max_depth, planted, args.epsilon,
                            args.max_points, args.scan_length)
-    except (PipelineError, ValueError) as exc:  # ValueError: a failed extension
-        raise DomainError(str(exc)) from exc
+    except (PipelineError, ValueError, KeyError) as exc:  # a failed extension
+        raise DomainError(exc.args[0]) from exc
     try:
         _, cert = approximate_by_invertible(list(chain.maps), planted,
                                             args.epsilon, j=1, input_id=input_id)

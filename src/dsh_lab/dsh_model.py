@@ -69,15 +69,6 @@ class FiniteDshModel:
             if len(set(ids)) != len(ids):
                 raise ValueError(f"duplicate point ids in a level: {ids}")
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    def level(self, i: int) -> Level:
-        if not (1 <= i <= self.num_levels):
-            raise IndexError(f"level {i} out of range")
-        return self.levels[i - 1]
-
     def dim(self, i: int) -> int:
         if not (1 <= i <= len(self._dims)):
             raise IndexError(f"level {i} out of range")
@@ -265,10 +256,6 @@ def eval_element(e: Element, ref: PointRef) -> np.ndarray:
 def unit_element(m: FiniteDshModel) -> Element:
     return Element(m, {r: _freeze(np.eye(m.dim(r.level), dtype=np.complex128))
                        for r in m.free_refs()})
-
-
-def scalar_element(m: FiniteDshModel, c: complex) -> Element:
-    return c * unit_element(m)
 
 
 def random_value_stack(m: FiniteDshModel, rng: np.random.Generator, count: int,

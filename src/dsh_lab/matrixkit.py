@@ -11,7 +11,7 @@ the block-start / zero-cross bookkeeping of the algebra models built on top
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -152,19 +152,6 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(tuple(self(other(j)) for j in range(1, self.n + 1)))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j in range(1, self.n + 1):
-            inv[self(j) - 1] = j
-        return Permutation(tuple(inv))
-
-    def power(self, k: int) -> "Permutation":
-        result = Permutation.identity(self.n)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = base.compose(result)
-        return result
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
@@ -177,28 +164,11 @@ class Permutation:
         im[a - 1], im[b - 1] = b, a
         return Permutation(tuple(im))
 
-    @staticmethod
-    def from_cycle(n: int, cycle: Sequence[int]) -> "Permutation":
-        """The cycle (c_1 c_2 ... c_m): c_i maps to c_{i+1}, c_m back to c_1."""
-        im = list(range(1, n + 1))
-        m = len(cycle)
-        for i in range(m):
-            im[cycle[i] - 1] = cycle[(i + 1) % m]
-        return Permutation(tuple(im))
-
-
-def cycle_perm(n: int, k: int, m: int) -> Permutation:
-    """The cycle (k, k+1, ..., m) inside {1, ..., n}."""
-    if not (1 <= k <= m <= n):
-        raise ValueError(f"invalid cycle range ({k}..{m}) in n={n}")
-    return Permutation.from_cycle(n, tuple(range(k, m + 1)))
-
 
 def perm_matrix(p: Permutation) -> np.ndarray:
     """Unitary with entry (i, j) = 1 exactly when i = p(j)."""
     out = np.zeros((p.n, p.n), dtype=np.complex128)
-    for j in range(1, p.n + 1):
-        out[p(j) - 1, j - 1] = 1.0
+    out[np.array(p.images, dtype=np.intp) - 1, np.arange(p.n)] = 1.0
     return _freeze(out)
 
 

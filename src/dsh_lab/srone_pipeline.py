@@ -39,7 +39,6 @@ from .dsh_model import (
     eval_element,
     min_singular_over_points,
     norm_dist,
-    scalar_element,
     shrink,
     soft_threshold,
     unit_element,
@@ -57,7 +56,6 @@ from .matrixkit import (
     PATH_ATOL,
     SANDWICH_RTOL,
     THRESHOLD_RTOL,
-    Permutation,
     _freeze,
     diagonal_radius,
     has_block_point,
@@ -65,7 +63,6 @@ from .matrixkit import (
     is_strictly_lower_triangular,
     min_singular_value,
     norm_below,
-    perm_matrix,
 )
 from .unitary_paths import condense_path, gather_multi, v_n
 
@@ -168,13 +165,6 @@ def _min_singular_values(e: Element) -> dict[PointRef, float]:
     return {ref: min_singular_value(e.values[ref]) for ref in sorted(e.model.free_refs())}
 
 
-def find_singular_point(e: Element, tol: float) -> PointRef | None:
-    """A free point with min singular value <= tol, preferring the highest
-    level (then the first point in order); None when there is no such point."""
-    svs = _min_singular_values(e)
-    return max((r for r, sv in svs.items() if sv <= tol), key=lambda r: r.level, default=None)
-
-
 @dataclass
 class ZeroCrossStage:
     element: Element          # the perturbed element e'
@@ -236,9 +226,11 @@ def make_zero_cross(e: Element, eps: float,
         vals = dict(e.values)
         vals[p_star] = _freeze(a_prime)
         e_prime = Element(e.model, vals)
-        p_swap = perm_matrix(Permutation.transposition(n, 1, n)) if n > 1 else np.eye(1)
-        v_mat = p_swap @ u_svd.conj().T
-        w_mat = vh.conj().T @ p_swap
+        # swap row 1 with row n of U*, and column 1 with column n of V
+        swap = np.arange(n)
+        swap[[0, -1]] = swap[[-1, 0]]
+        v_mat = u_svd.conj().T[swap]
+        w_mat = vh.conj().T[:, swap]
 
     unit = unit_element(e.model)
     left_vals = dict(unit.values)
@@ -280,13 +272,13 @@ class PropagationStage:
     predicates: list[Predicate] = field(default_factory=list)
 
 
-def gathering_plan(chain: list[DiagonalMap], j: int, U: Collection[PointRef],
-                   N: int | None = None) -> tuple[int, int, int, int, int]:
+def gathering_plan(chain: list[DiagonalMap], j: int,
+                   U: Collection[PointRef]) -> tuple[int, int, int, int, int]:
     """(j_witness, j', M, N, R) for gathering the crosses at U from stage j.
 
     j_witness is the first simplicity witness stage for U (every point there
     sees U through its eigenvalue list), M is twice its largest dimension, R
-    the largest dimension at stage j, N defaults to R+M+3, and j' is the
+    the largest dimension at stage j, N is R+M+3, and j' is the
     first later stage whose smallest dimension is at least NM+1. Raises
     SimplicityError without a witness and ChainTooShortError without j'.
     """
@@ -297,8 +289,7 @@ def gathering_plan(chain: list[DiagonalMap], j: int, U: Collection[PointRef],
                               f"a simplicity witness for U={sorted(U)}")
     M = 2 * models[j_witness - 1].largest_dim
     R = models[j - 1].largest_dim
-    if N is None:
-        N = R + M + 3
+    N = R + M + 3
     required = N * M + 1
     for jp in range(j_witness + 1, len(models) + 1):
         if models[jp - 1].smallest_dim >= required:
@@ -310,8 +301,7 @@ def gathering_plan(chain: list[DiagonalMap], j: int, U: Collection[PointRef],
     )
 
 
-def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
-                      N: int | None = None) -> PropagationStage:
+def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage) -> PropagationStage:
     """Push the zero cross down the chain until it recurs every M entries.
 
     ``gathering_plan`` picks the simplicity witness stage for U, M, N, R and
@@ -322,7 +312,7 @@ def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage,
     models = chain_models(chain)
     if not (1 <= j <= len(models)) or zc.element.model != models[j - 1]:
         raise ValueError("stage data does not sit at chain position j")
-    j_witness, jp, M, N, R = gathering_plan(chain, j, zc.points, N)
+    j_witness, jp, M, N, R = gathering_plan(chain, j, zc.points)
     model_jp = models[jp - 1]
     phi = compose_chain(chain, j, jp)
     delta_p = apply_diagonal_map(phi, zc.delta)
@@ -497,7 +487,7 @@ def rordam_invert(t: Element, delta: float) -> Element:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return t + scalar_element(t.model, delta)
+    return t + delta * unit_element(t.model)
 
 
 def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,

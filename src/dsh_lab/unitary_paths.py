@@ -21,13 +21,10 @@ import numpy as np
 from .matrixkit import (
     DEFAULT_ATOL,
     PATH_ATOL,
-    Permutation,
     _freeze,
-    cycle_perm,
     diagonal_radius,
     has_zero_cross,
     matmul,
-    perm_matrix,
     zero_cross_positions,
 )
 
@@ -138,16 +135,6 @@ def u_transposition(spec: TranspositionPathSpec, t: float) -> np.ndarray:
     return _freeze(out)
 
 
-def eta_permutation(k: int, n: int, N: int) -> Permutation:
-    """Product of transpositions (k-N+1, n-N+1)...(k, n) as a permutation."""
-    p = Permutation.identity(n)
-    for j in range(1, N + 1):
-        a, b = k - N + j, n - N + j
-        if a != b:
-            p = p.compose(Permutation.transposition(n, a, b))
-    return p
-
-
 def eta_path(k: int, n: int, N: int, t: float, ambient: int | None = None) -> np.ndarray:
     """u_{(k-N+1, a-N+1)}(t) ... u_{(k, a)}(t) with a = ambient (default n).
 
@@ -157,6 +144,8 @@ def eta_path(k: int, n: int, N: int, t: float, ambient: int | None = None) -> np
     ``ambient=i < n`` gives the same construction confined to the leading
     i x i corner, which is what the nesting identity below conjugates.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     amb = n if ambient is None else ambient
     if not (N <= k <= amb <= n):
         raise IndexError(f"need N <= k <= ambient <= n, got k={k}, N={N}, ambient={amb}, n={n}")
@@ -299,6 +288,12 @@ def theta_violations(theta: ThetaVector, N: int) -> list[tuple[str, str]]:
     return out
 
 
+def cycle_power(n: int, N: int) -> np.ndarray:
+    """U[gamma_{1,n}]^N: the n-cycle j -> j+1 (mod n) to the power N, built
+    by one index roll; entry (j+N mod n, j) is 1."""
+    return _freeze(np.roll(np.eye(n, dtype=np.complex128), N, axis=0))
+
+
 def v_n(theta, N: int, validate: bool = True) -> np.ndarray:
     """The triangulating unitary: U[gamma_{1,n}]^N times the eta-path product.
 
@@ -318,7 +313,7 @@ def v_n(theta, N: int, validate: bool = True) -> np.ndarray:
         bad = theta_violations(theta, N)
         if bad:
             raise ThetaInvariantError(bad[0][0], bad[0][1])
-    out = np.array(perm_matrix(cycle_perm(n, 1, n).power(N)))
+    out = np.array(cycle_power(n, N))
     for k in range(N, n):
         t = theta[k + 1]
         if t > 0.0:

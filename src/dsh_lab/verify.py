@@ -20,7 +20,6 @@ from .matrixkit import (
     DEFAULT_ATOL,
     PATH_ATOL,
     Permutation,
-    cycle_perm,
     diagonal_radius,
     direct_sum,
     has_block_point,
@@ -187,10 +186,8 @@ def _suite_elementary(rng: np.random.Generator, trials: int) -> int:
             for i in range(N + 1, n - N + 1):
                 if i - 1 < N:
                     continue
-                lhs = perm_matrix(cycle_perm(n, 1, n).power(N)) @ perm_matrix(
-                    up.eta_permutation(i - 1, n, N))
-                rhs = perm_matrix(cycle_perm(n, 1, i - 1).power(N)) @ perm_matrix(
-                    cycle_perm(n, i, n).power(N))
+                lhs = up.cycle_power(n, N) @ up.eta_path(i - 1, n, N, 1.0)
+                rhs = direct_sum([up.cycle_power(i - 1, N), up.cycle_power(n - i + 1, N)])
                 _check(np.array_equal(lhs, rhs),
                        f"cycle/block-swap identity failed at n={n}, N={N}, i={i}")
                 checks += 1

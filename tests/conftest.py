@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsh_lab.dsh_model import Element, FiniteDshModel, Level, ModelPoint, PointRef
-from dsh_lab.matrixkit import matrix_to_json
+from dsh_lab.matrixkit import Permutation, matrix_to_json, perm_matrix
 
 
 def zero_element(m: FiniteDshModel) -> Element:
@@ -24,6 +24,20 @@ def model_from_json(obj: dict) -> FiniteDshModel:
             pts.append(ModelPoint(p["id"], gluing))
         levels.append(Level(int(lvl["dim"]), tuple(pts)))
     return FiniteDshModel(tuple(levels))
+
+
+def cycle_power_ref(n: int, N: int) -> np.ndarray:
+    """U[gamma_{1,n}]^N from its definition: j -> ((j-1+N) mod n) + 1."""
+    return perm_matrix(Permutation(tuple((j - 1 + N) % n + 1 for j in range(1, n + 1))))
+
+
+def strip_timing(obj):
+    """A JSON report without its ``runtime_ms`` fields."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if k != "runtime_ms"}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj
 
 
 def element_to_json(e: Element) -> dict:

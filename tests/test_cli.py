@@ -8,7 +8,7 @@ import pytest
 
 from dsh_lab import cli
 from dsh_lab import verify as vf
-from conftest import element_to_json, zero_element
+from conftest import element_to_json, strip_timing, zero_element
 
 
 def run_cli(capsys, *argv):
@@ -19,14 +19,6 @@ def run_cli(capsys, *argv):
 
 def parse(stdout):
     return json.loads(stdout)
-
-
-def strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if k != "runtime_ms"}
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj
 
 
 def test_return_words_report(capsys):
@@ -311,12 +303,17 @@ def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
     (("pipeline", "--max-points", "0"), 2, "no sampled points"),
     (("pipeline", "--scan-length", "5"), 2, "too short"),
     (("return-words", "--word", "0101", "--scan-length", "5"), 2, "too short"),
+    (("pipeline", "--max-points", "1"), 2, "no source representative"),
+    (("unitary", "eval", "--kind", "eta", "--block", "0"), 2, "need N >= 1, got N=0"),
+    (("unitary", "eval", "--kind", "eta", "--block", "-1"), 2, "need N >= 1, got N=-1"),
 ])
 def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == ""
     assert err.startswith("dsh-lab: ") and message in err
+    # one line, with the message unquoted
+    assert err.count("\n") == 1 and not err.startswith("dsh-lab: \"")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -49,7 +49,7 @@ def test_perm_matrix_transposition():
 
 def test_perm_matrix_cycle_moves_basis_vectors():
     # gamma_{1,3} = (1 2 3): e1 -> e2, e2 -> e3, e3 -> e1
-    u = mk.perm_matrix(mk.cycle_perm(3, 1, 3))
+    u = mk.perm_matrix(mk.Permutation((2, 3, 1)))
     e = np.eye(3)
     assert np.array_equal(u @ e[:, 0], e[:, 1])
     assert np.array_equal(u @ e[:, 1], e[:, 2])

@@ -22,17 +22,43 @@ def plant(model, rng, scale=0.02):
     return sp.plant_singular_element(model, rng, scale)
 
 
-def test_find_singular_point_cases(two_level_model, rng):
-    assert sp.find_singular_point(dm.unit_element(two_level_model), 1e-9) is None
+@pytest.fixture(scope="module")
+def planned_chain(fib_chain):
+    """(fib_chain deepened by plan_chain for a plant at stage 1, the plant)."""
+    planted = plant(fib_chain.model(1), np.random.default_rng(12345))
+    chain = sp.plan_chain(dyn.Substitution.fibonacci(), fib_chain, 14, planted, 0.25, 16,
+                          dyn.DEFAULT_SCAN_LENGTH)
+    return chain, planted
 
-    vals = dict(dm.unit_element(two_level_model).values)
-    vals[PointRef(1, "b")] = np.zeros((3, 3))
-    e = dm.Element(two_level_model, vals)
-    assert sp.find_singular_point(e, 1e-9) == PointRef(1, "b")
 
-    planted = plant(two_level_model, rng)
+def test_make_zero_cross_prefers_highest_level(two_level_model, rng):
+    unit = dm.unit_element(two_level_model)
+
+    def zeroed(*refs):
+        vals = dict(unit.values)
+        for r in refs:
+            vals[r] = np.zeros((two_level_model.dim(r.level),) * 2)
+        return dm.Element(two_level_model, vals)
+
+    a, b, c = PointRef(1, "a"), PointRef(1, "b"), PointRef(2, "c")
+    assert sp.make_zero_cross(zeroed(b), 0.5).points == {b}
+    # the highest level wins, then the first point in order
+    assert sp.make_zero_cross(zeroed(b, c), 0.5).points == {c}
+    assert sp.make_zero_cross(zeroed(a, b), 0.5).points == {a}
     # the plant sits at the first point of the highest level
-    assert sp.find_singular_point(planted, 1e-9) == PointRef(2, "c")
+    assert sp.make_zero_cross(plant(two_level_model, rng), 0.5).points == {c}
+
+
+def test_make_zero_cross_singular_1x1_point():
+    model = FiniteDshModel((Level(1, (ModelPoint("a"), ModelPoint("b"))),))
+    tiny = np.array([[3e-10 * np.exp(0.7j)]])
+    e = dm.Element(model, {PointRef(1, "a"): np.eye(1), PointRef(1, "b"): tiny})
+    zc = sp.make_zero_cross(e, 0.5)
+    assert zc.points == {PointRef(1, "b")}
+    assert zc.distance == pytest.approx(3e-10, rel=1e-12)
+    assert np.all(zc.element.values[PointRef(1, "b")] == 0)
+    for v in (zc.left.values[PointRef(1, "b")], zc.right.values[PointRef(1, "b")]):
+        assert mk.is_unitary(v)
 
 
 def test_make_zero_cross_exact_zero_value(two_level_model, rng):
@@ -88,14 +114,14 @@ def test_propagate_requires_simplicity(two_level_model, rng):
         sp.propagate_crosses([d, d], 1, zc)
 
 
-def test_propagate_degenerate_n1(fib_chain, rng):
-    planted = plant(fib_chain.model(1), rng)
+def test_propagate_at_planned_depth(planned_chain):
+    chain, planted = planned_chain
     zc = sp.make_zero_cross(planted, 0.0625)
-    prop = sp.propagate_crosses(list(fib_chain.maps), 1, zc, N=1)
-    assert prop.M == 6 and prop.N == 1
+    prop = sp.propagate_crosses(list(chain.maps), 1, zc)
+    assert prop.M == 6 and prop.N == prop.R + prop.M + 3
     assert prop.witness_index == 2
-    model = fib_chain.model(prop.stage_index)
-    assert model.smallest_dim >= prop.M + 1
+    model = chain.model(prop.stage_index)
+    assert model.smallest_dim >= prop.N * prop.M + 1
     starts = dm.block_starts(model)
     for ref in model.all_refs():
         val = dm.eval_element(prop.image, ref)
@@ -103,7 +129,7 @@ def test_propagate_degenerate_n1(fib_chain, rng):
             assert mk.has_zero_cross(val, k, 1e-9)
         assert mk.diagonal_radius(val, 1e-9) <= prop.R + prop.M - 1
     # the sandwich equals the mapped, rotated element
-    phi = dm.compose_chain(list(fib_chain.maps), 1, prop.stage_index)
+    phi = dm.compose_chain(list(chain.maps), 1, prop.stage_index)
     mapped = dm.apply_diagonal_map(phi, zc.left * zc.element * zc.right)
     assert sorted(np.linalg.svd(v, compute_uv=False)[0]
                   for v in prop.image.values.values()) == pytest.approx(
@@ -111,15 +137,15 @@ def test_propagate_degenerate_n1(fib_chain, rng):
         abs=1e-10)
 
 
-def test_propagate_gate_without_zero_cross_names_point(fib_chain, rng):
-    planted = plant(fib_chain.model(1), rng)
+def test_propagate_gate_without_zero_cross_names_point(planned_chain):
+    chain, planted = planned_chain
     zc = sp.make_zero_cross(planted, 0.0625)
-    unit = dm.unit_element(fib_chain.model(1))
+    unit = dm.unit_element(chain.model(1))
     unrotated = dataclasses.replace(zc, left=unit, right=unit)  # gate set, no cross
     with pytest.raises(sp.PipelineError,
                        match=r"windowed_gathering.*PointRef\(level=\d+, point='\w+'\): "
                              r"delta_\d+ > 0 but the matrix has no zero cross"):
-        sp.propagate_crosses(list(fib_chain.maps), 1, unrotated, N=1)
+        sp.propagate_crosses(list(chain.maps), 1, unrotated)
 
 
 def test_propagate_reports_required_depth(fib_chain, rng):

@@ -4,6 +4,7 @@ import pytest
 from dsh_lab import matrixkit as mk
 from dsh_lab import unitary_paths as up
 from dsh_lab.verify import random_crossed_matrix, random_valid_theta
+from conftest import cycle_power_ref
 
 
 def u(n, k1, k2, t):
@@ -167,12 +168,25 @@ def test_eta_endpoints_and_product_permutation():
     expected = mk.perm_matrix(
         mk.Permutation.transposition(6, 1, 5).compose(mk.Permutation.transposition(6, 2, 6)))
     assert np.max(np.abs(up.eta_path(2, 6, 2, 1.0) - expected)) <= 1e-12
-    assert np.array_equal(mk.perm_matrix(up.eta_permutation(2, 6, 2)), np.asarray(expected))
+    assert np.array_equal(up.eta_path(2, 6, 2, 1.0), np.asarray(expected))
+
+
+@pytest.mark.parametrize("n, N", [(1, 0), (1, 3), (5, 0), (5, 1), (5, 2), (5, 5), (5, 7),
+                                  (5, 12), (8, 3)])
+def test_cycle_power_matches_its_definition(n, N):
+    c = up.cycle_power(n, N)
+    assert np.array_equal(c, cycle_power_ref(n, N))
+    assert c.dtype == np.complex128 and not c.flags.writeable
+    if N % n == 0:
+        assert np.array_equal(c, np.eye(n))
 
 
 def test_eta_rejects_out_of_range():
     with pytest.raises(IndexError):
         up.eta_path(1, 6, 2, 0.5)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            up.eta_path(2, 6, N, 1.0)
 
 
 def test_nesting_identity_sampled(rng):
@@ -331,7 +345,7 @@ def test_condense_rejects_unsorted_positions():
 def test_vn_all_eta_factors_off():
     n, N = 7, 2
     theta = (1.0,) + (0.0,) * (n - 1)
-    expected = mk.perm_matrix(mk.cycle_perm(n, 1, n).power(N))
+    expected = cycle_power_ref(n, N)
     assert np.max(np.abs(up.v_n(theta, N) - expected)) <= 1e-12
 
 
@@ -378,7 +392,7 @@ def test_triangulate_check_zero_and_shift():
     a = np.zeros((n, n), dtype=complex)
     a[4, 3] = 2.0  # strictly lower, r(A) = 2 <= N, crosses at 1, 2
     t = up.triangulate_check(a, theta, N)
-    expected = a @ mk.perm_matrix(mk.cycle_perm(n, 1, n).power(N))
+    expected = a @ cycle_power_ref(n, N)
     assert np.array_equal(t, expected)
     assert mk.is_strictly_lower_triangular(t, 1e-9)
 
