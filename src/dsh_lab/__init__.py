@@ -31,7 +31,6 @@ from .unitary_paths import (
     condense_path,
     eta_path,
     gather_multi,
-    triangulate_check,
     u_transposition,
     v_n,
 )

@@ -240,7 +240,7 @@ def _cmd_pipeline(args) -> int:
         raise DomainError(exc.args[0]) from exc
     try:
         _, cert = approximate_by_invertible(list(chain.maps), planted,
-                                            args.epsilon, j=1, input_id=input_id)
+                                            args.epsilon, input_id=input_id)
     except PipelineError as exc:
         raise DomainError(str(exc)) from exc
     report = {

@@ -171,8 +171,8 @@ class ZeroCrossStage:
     left: Element             # vL
     right: Element            # vR
     delta: Element            # diagonal gate: (1,1) entry 1 on U
+    rotated: Element          # vL e' vR
     points: frozenset[PointRef]
-    singular_point: PointRef
     distance: float
     predicates: list[Predicate] = field(default_factory=list)
 
@@ -248,14 +248,13 @@ def make_zero_cross(e: Element, eps: float,
         delta_vals[ref] = _freeze(d)
     delta = Element(e.model, delta_vals)
 
-    rotated = (v_left * e_prime * v_right).values[p_star]
+    rotated = v_left * e_prime * v_right
     _require(preds, "distance_within_eps", distance < eps, f"{distance} >= {eps}")
-    _require(preds, "zero_cross_at_1", has_zero_cross(rotated, 1, PATH_ATOL),
+    _require(preds, "zero_cross_at_1", has_zero_cross(rotated.values[p_star], 1, PATH_ATOL),
              f"no zero cross at {p_star}")
     return ZeroCrossStage(
-        element=e_prime, left=v_left, right=v_right, delta=delta,
-        points=frozenset([p_star]), singular_point=p_star, distance=distance,
-        predicates=preds,
+        element=e_prime, left=v_left, right=v_right, delta=delta, rotated=rotated,
+        points=frozenset([p_star]), distance=distance, predicates=preds,
     )
 
 
@@ -272,23 +271,23 @@ class PropagationStage:
     predicates: list[Predicate] = field(default_factory=list)
 
 
-def gathering_plan(chain: list[DiagonalMap], j: int,
+def gathering_plan(chain: list[DiagonalMap],
                    U: Collection[PointRef]) -> tuple[int, int, int, int, int]:
-    """(j_witness, j', M, N, R) for gathering the crosses at U from stage j.
+    """(j_witness, j', M, N, R) for gathering the crosses at U from stage 1.
 
     j_witness is the first simplicity witness stage for U (every point there
     sees U through its eigenvalue list), M is twice its largest dimension, R
-    the largest dimension at stage j, N is R+M+3, and j' is the
+    the largest dimension at stage 1, N is R+M+3, and j' is the
     first later stage whose smallest dimension is at least NM+1. Raises
     SimplicityError without a witness and ChainTooShortError without j'.
     """
     models = chain_models(chain)
-    holds, j_witness = check_simplicity_condition(chain, j, U)
+    holds, j_witness = check_simplicity_condition(chain, 1, U)
     if not holds:
         raise SimplicityError(f"chain exhausted at depth {len(models)}: no stage is "
                               f"a simplicity witness for U={sorted(U)}")
     M = 2 * models[j_witness - 1].largest_dim
-    R = models[j - 1].largest_dim
+    R = models[0].largest_dim
     N = R + M + 3
     required = N * M + 1
     for jp in range(j_witness + 1, len(models) + 1):
@@ -301,22 +300,27 @@ def gathering_plan(chain: list[DiagonalMap], j: int,
     )
 
 
-def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage) -> PropagationStage:
-    """Push the zero cross down the chain until it recurs every M entries.
+def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage) -> PropagationStage:
+    """Push the zero cross at stage 1 down the chain until it recurs every M
+    entries.
 
     ``gathering_plan`` picks the simplicity witness stage for U, M, N, R and
     the gathering stage j'. At every free point of stage j',
     ``gather_multi`` gathers the mapped cross gate into the windows that the
-    indicator marks (1s at k+aM over each block start k).
+    indicator marks (1s at k+aM over each block start k). Its preconditions
+    are recorded as ``windowed_gathering``; its outcome, a cross at 1+aM and
+    diagonal radius grown by at most M-1, as ``periodic_zero_crosses`` and
+    ``radius_bound``. The mapped value is a direct sum of blocks of dimension
+    at most R, so the radius bound implies radius at most R+M-1.
     """
     models = chain_models(chain)
-    if not (1 <= j <= len(models)) or zc.element.model != models[j - 1]:
-        raise ValueError("stage data does not sit at chain position j")
-    j_witness, jp, M, N, R = gathering_plan(chain, j, zc.points)
+    if zc.element.model != models[0]:
+        raise ValueError("stage data does not sit at chain stage 1")
+    j_witness, jp, M, N, R = gathering_plan(chain, zc.points)
     model_jp = models[jp - 1]
-    phi = compose_chain(chain, j, jp)
+    phi = compose_chain(chain, 1, jp)
     delta_p = apply_diagonal_map(phi, zc.delta)
-    g = apply_diagonal_map(phi, zc.left * zc.element * zc.right)
+    g = apply_diagonal_map(phi, zc.rotated)
     theta = build_indicator(model_jp, M, tuple(a * M for a in range(N)))
 
     preds: list[Predicate] = []
@@ -328,7 +332,7 @@ def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage) -> P
         try:
             v_vals[ref], image_vals[ref] = gather_multi(
                 g.values[ref], np.real(np.diag(delta_p.values[ref])), ks, M)
-        except (ValueError, IndexError, RuntimeError) as exc:
+        except (ValueError, IndexError) as exc:
             witness = f"{ref}: {exc}"
         _require(preds, "windowed_gathering", witness is None, witness)
     gather = Element(model_jp, v_vals)
@@ -339,7 +343,8 @@ def propagate_crosses(chain: list[DiagonalMap], j: int, zc: ZeroCrossStage) -> P
     _require_crosses(preds, "periodic_zero_crosses", image, range(0, N * M, M), PATH_ATOL)
     for ref, val in image.values.items():
         r = diagonal_radius(val, PATH_ATOL)
-        _require(preds, "radius_bound", r <= R + M - 1, f"{ref}: radius {r} > {R + M - 1}")
+        bound = diagonal_radius(g.values[ref]) + M - 1
+        _require(preds, "radius_bound", r <= bound, f"{ref}: radius {r} > {bound}")
     return PropagationStage(
         stage_index=jp, witness_index=j_witness, left=v1, right=v2, image=image,
         M=M, N=N, R=R, predicates=preds,
@@ -491,9 +496,10 @@ def rordam_invert(t: Element, delta: float) -> Element:
 
 
 def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
-                              j: int = 1, input_id: str = "input",
+                              input_id: str = "input",
                               ) -> tuple[Element, PipelineCertificate]:
-    """Produce an invertible element within eps of the image of ``a``.
+    """Produce an invertible element within eps of the image of ``a``, an
+    element at chain stage 1.
 
     Budget: eps/4 for the singular-value cut, eps/4 for the soft threshold,
     eps/8 for the scalar perturbation (half the final quarter, leaving slack
@@ -504,9 +510,8 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     """
     t0 = time.perf_counter()
     _require_eps(eps)
-    models = chain_models(chain)
-    if not (1 <= j <= len(models)) or a.model != models[j - 1]:
-        raise ValueError("element does not live at chain position j")
+    if a.model != chain_models(chain)[0]:
+        raise ValueError("element does not live at chain stage 1")
 
     svs = _min_singular_values(a)
     if min(svs.values()) > INVERTIBLE_TOL:
@@ -514,14 +519,14 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
             input_id=input_id, epsilon=eps,
             stages=[StageRecord("already_invertible", 0.0, (),
                                 [("invertible", True, None)])],
-            output=a, output_stage=j, total_distance=0.0,
+            output=a, output_stage=1, total_distance=0.0,
             min_singular_value=min(svs.values()),
             runtime_ms=1000 * (time.perf_counter() - t0),
         )
         return a, cert
 
     zc = make_zero_cross(a, eps / 4, svs)
-    prop = propagate_crosses(chain, j, zc)
+    prop = propagate_crosses(chain, zc)
 
     g_prime, delta_thresh, d_thresh = open_block_points(prop.image, eps / 4)
     # condense_crosses checks the crosses and block points that g' hands on
@@ -541,7 +546,7 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     a_prime = (v3.adjoint() * core * v4.adjoint() * v3)
     a_prime = prop.left.adjoint() * a_prime * prop.right.adjoint()
 
-    phi = compose_chain(chain, j, prop.stage_index)
+    phi = compose_chain(chain, 1, prop.stage_index)
     total = norm_dist(apply_diagonal_map(phi, a), a_prime)
     minsv = min_singular_over_points(a_prime)
 
@@ -598,7 +603,7 @@ def plan_chain(s: Substitution, chain: CylinderChain, max_depth: int, a: Element
     U = {_zero_cross_point(svs, eps / 4)}
     while True:
         try:
-            gathering_plan(list(chain.maps), 1, U)
+            gathering_plan(list(chain.maps), U)
             return chain
         except (SimplicityError, ChainTooShortError):
             if chain.depth >= max_depth:

@@ -18,15 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matrixkit import (
-    DEFAULT_ATOL,
-    PATH_ATOL,
-    _freeze,
-    diagonal_radius,
-    has_zero_cross,
-    matmul,
-    zero_cross_positions,
-)
+from .matrixkit import DEFAULT_ATOL, _freeze, matmul, zero_cross_positions
 
 
 class ThetaInvariantError(ValueError):
@@ -78,25 +70,6 @@ class ThetaVector:
         return ThetaVector(tuple(float(v) for v in values))
 
 
-def transposition_profile(t: float) -> tuple[complex, complex, complex, complex]:
-    """The 2x2 core (g1, g2, g3, g4) of the transposition path at time t.
-
-    g1 = g4 = e^{-i pi t/2} cos(pi t/2) and g2 = g3 = i e^{-i pi t/2}
-    sin(pi t/2): unitary for every t, equal to the identity core at t=0 and
-    to the flip at t=1. The symmetric off-diagonal profile is what makes the
-    conjugation-relabeling identity below exact. At t=1 the core is the exact
-    flip (0, 1, 1, 0) rather than its rounding (cos(pi/2) = 6.1e-17), so
-    every path the pipeline evaluates at its endpoints is a permutation.
-    """
-    if t == 1.0:
-        zero, one = np.complex128(0.0), np.complex128(1.0)
-        return zero, one, one, zero
-    phase = np.exp(-1j * np.pi * t / 2)
-    g1 = phase * np.cos(np.pi * t / 2)
-    g2 = 1j * phase * np.sin(np.pi * t / 2)
-    return g1, g2, g2, g1
-
-
 def _check_t(t: float) -> float:
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"path parameter {t} outside [0, 1]")
@@ -107,9 +80,12 @@ def _rmul_transposition(m: np.ndarray, a: int, b: int, t: float) -> None:
     """In place m <- m @ u_{(a b)}(t); a == b or t == 0 is the identity.
 
     Only columns a and b change, each to a combination of the two with the
-    core's scalar coefficients (symmetric in a and b). At t = 1 this is an
-    exact column swap. Inside, the coefficients come from ``math``/``cmath``
-    and agree with ``transposition_profile`` up to rounding.
+    2x2 core's coefficients g1 = e^{-i pi t/2} cos(pi t/2) and
+    g2 = i e^{-i pi t/2} sin(pi t/2): unitary for every t and symmetric in a
+    and b, which is what makes the conjugation-relabeling identity exact. At
+    t = 1 the core is the exact flip (a column swap) rather than its rounding
+    (cos(pi/2) = 6.1e-17), so every path the pipeline evaluates at its
+    endpoints is a permutation.
     """
     if a == b or t == 0.0:
         return
@@ -184,12 +160,15 @@ def _check_window(n: int, k: int, delta: ThetaVector, m_window: int) -> None:
 def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather zero crosses into every position of ks (windows of width M).
 
-    ks must be increasing with gaps >= M and the last window must fit. The
-    returned pair is (V_N ... V_1, the conjugated matrix); the diagonal
-    radius grows by at most M-1. The windows are disjoint, so the factors
-    commute and are accumulated into one unitary that conjugates A once. A
-    window whose parameters above k all vanish contributes the identity
-    (then delta_k = 1 and A already has the cross at k).
+    ks must be increasing with gaps >= M, every window must fit and hold a
+    full gate entry, and every positive gate entry must sit on a zero cross
+    of A. The returned pair is (V_N ... V_1, the conjugated matrix). The
+    windows are disjoint, so the factors commute and are accumulated into one
+    unitary that conjugates A once. A window whose parameters above k all
+    vanish contributes the identity (then delta_k = 1 and A already has the
+    cross at k). The outcome, a cross at every k and diagonal radius grown by
+    at most M-1, is for the caller to check: the pipeline records it as
+    ``periodic_zero_crosses`` and ``radius_bound``.
     """
     a = np.asarray(a, dtype=np.complex128)
     delta = ThetaVector.coerce(delta)
@@ -202,13 +181,7 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
     for k in ks:
         _check_window(a.shape[0], k, delta, m_window)
         _rmul_window(total, k, delta, m_window)
-    b = matmul(matmul(total, a), total.conj().T)
-    for k in ks:
-        if not has_zero_cross(b, k, PATH_ATOL):
-            raise RuntimeError(f"gathering failed to produce a zero cross at {k}")
-    if diagonal_radius(b, PATH_ATOL) > diagonal_radius(a) + m_window - 1:
-        raise RuntimeError("diagonal radius grew by more than M-1")
-    return _freeze(total), _freeze(b)
+    return _freeze(total), _freeze(matmul(matmul(total, a), total.conj().T))
 
 
 @dataclass(frozen=True)
@@ -320,30 +293,3 @@ def v_n(theta, N: int, validate: bool = True) -> np.ndarray:
             for j in range(1, N + 1):
                 _rmul_transposition(out, k - N + j, n - N + j, t)
     return _freeze(out)
-
-
-def triangulate_check(a: np.ndarray, theta, N: int) -> np.ndarray:
-    """Right-multiply A by v_n(theta, N) and verify strict lower triangularity.
-
-    Requires diagonal_radius(A) <= N and, wherever theta_k > 0, zero crosses
-    of A at k, ..., k+N-1.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    theta = ThetaVector.coerce(theta)
-    n = a.shape[0]
-    if theta.n != n:
-        raise ValueError(f"theta has length {theta.n}, matrix has dimension {n}")
-    r = diagonal_radius(a)
-    if r > N:
-        raise ValueError(f"diagonal radius {r} exceeds N={N}")
-    for k in range(1, n + 1):
-        if theta[k] > 0.0:
-            for z in range(k, k + N):
-                if z > n or not has_zero_cross(a, z, DEFAULT_ATOL):
-                    raise ValueError(f"theta_{k} > 0 but no zero cross at position {z}")
-    t = a @ v_n(theta, N)
-    upper = np.triu(np.abs(t))
-    if upper.size and upper.max() > PATH_ATOL:
-        i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
-        raise RuntimeError(f"entry ({i + 1}, {j + 1}) = {t[i, j]} above the diagonal")
-    return _freeze(t)

@@ -159,20 +159,81 @@ def test_pipeline_loads_element_from_file(tmp_path, capsys):
 
 
 def test_pipeline_gathering_failure_exits_2(capsys, monkeypatch):
-    from dsh_lab import dsh_model as dm
     from dsh_lab import srone_pipeline as sp
 
     make_zero_cross = sp.make_zero_cross
 
     def unrotated(e, eps, *scan):  # leaves the gate on a point without a zero cross
-        unit = dm.unit_element(e.model)
-        return dataclasses.replace(make_zero_cross(e, eps, *scan), left=unit, right=unit)
+        zc = make_zero_cross(e, eps, *scan)
+        return dataclasses.replace(zc, rotated=zc.element)
 
     monkeypatch.setattr(sp, "make_zero_cross", unrotated)
     code, out, err = run_cli(capsys, "pipeline", "--seed", "5")
     assert code == 2
     assert out == ""
     assert "windowed_gathering" in err and "no zero cross" in err
+
+
+def _break_window(monkeypatch):
+    from dsh_lab import unitary_paths as up
+    monkeypatch.setattr(up, "_rmul_window", lambda *args: None)
+
+
+def _break_cycle_power(monkeypatch):
+    import numpy as np
+    from dsh_lab import unitary_paths as up
+    monkeypatch.setattr(up, "cycle_power", lambda n, N: np.eye(n, dtype=np.complex128))
+
+
+def _break_witness(monkeypatch):
+    from dsh_lab import dsh_model as dm
+    witness = dm.witness_no_block_point
+
+    def unit_witness(m, ref, k):  # still refuses genuine block starts
+        witness(m, ref, k)
+        return dm.unit_element(m)
+
+    monkeypatch.setattr(dm, "witness_no_block_point", unit_witness)
+
+
+def _break_indicator(monkeypatch):
+    import numpy as np
+    from dsh_lab import dsh_model as dm
+    from dsh_lab import srone_pipeline as sp
+    build = dm.build_indicator
+
+    def rolled(*args):  # every 1 one position late
+        return build(*args).map_values(lambda v: np.diag(np.roll(np.diag(v), 1)))
+
+    monkeypatch.setattr(dm, "build_indicator", rolled)
+    monkeypatch.setattr(sp, "build_indicator", rolled)
+
+
+# (break the construction, the pipeline predicate that fails or None, the
+# verify suites that fail)
+BROKEN_CONSTRUCTIONS = {
+    "window_no_op": (_break_window, "periodic_zero_crosses", ("block1", "block2")),
+    "cycle_power_identity": (_break_cycle_power, "strictly_lower_triangular", ("triangulate",)),
+    "witness_is_unit": (_break_witness, None, ("blockchar",)),
+    "indicator_rolled": (_break_indicator, "periodic_zero_crosses", ("indicator",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CONSTRUCTIONS))
+def test_broken_construction_is_caught_by_its_recorded_check(capsys, monkeypatch, name):
+    # each construction's outcome is checked once, where it is recorded: a
+    # pipeline predicate (exit 2) or a verify suite (exit 3, a counterexample)
+    breaker, predicate, suites = BROKEN_CONSTRUCTIONS[name]
+    breaker(monkeypatch)
+    if predicate is not None:
+        code, out, err = run_cli(capsys, "pipeline", "--seed", "5", "--plant-scale", "0.05")
+        assert (code, out) == (2, "")
+        assert f"predicate '{predicate}' failed" in err
+    code, out, _ = run_cli(capsys, "verify", "--suites", ",".join(suites))
+    assert code == 3
+    for suite in suites:
+        entry = parse(out)["suites"][suite]
+        assert entry["passed"] is False and entry["first_counterexample"]
 
 
 def test_pipeline_depth_exhaustion(capsys):

@@ -323,6 +323,86 @@ def test_indicator_boundary_offset_is_reported(two_level_model):
         dm.build_indicator(two_level_model, 2, (1,))
 
 
+def _indicator_ref(m, M, K, F=None):
+    """build_indicator as it was: build the element, then verify conditions
+    (2), (3) and (5) and the flags at every point, on assembled values."""
+    report = dm.validate_model(m)
+    if not report.ok:
+        raise ValueError(f"invalid model: {report.violations[0]}")
+    n1 = m.smallest_dim
+    ks = sorted(set(int(k) for k in K))
+    if not ks:
+        raise ValueError("K must be nonempty")
+    if not (1 <= M < n1):
+        raise ValueError("M out of range")
+    if ks[0] < 0 or ks[-1] > n1 - M:
+        raise ValueError("K out of range")
+    for a in range(len(ks) - 1):
+        if ks[a + 1] - ks[a] < M:
+            raise ValueError("offsets closer than M")
+    flags = {} if F is None else {r: frozenset(int(k) for k in ks) for r, ks in F.items()}
+    starts = dm.block_starts(m)
+    vals = {}
+    for ref in m.free_refs():
+        diag = np.zeros(m.dim(ref.level))
+        for start in starts[ref]:
+            for kt in ks:
+                diag[start + kt - 1] = 1.0
+        vals[ref] = np.diag(diag).astype(np.complex128)
+    theta = dm.Element(m, vals)
+    for ref in m.all_refs():
+        n = m.dim(ref.level)
+        d = np.real(np.diag(dm.eval_element(theta, ref)))
+        for k in range(n - M + 1, n + 1):
+            if d[k - 1] != 0.0:
+                raise dm.InfeasibleIndicatorError("condition (3)")
+        for k in range(1, n - M + 2):
+            if np.count_nonzero(d[k - 1:k - 1 + M]) > 1:
+                raise dm.InfeasibleIndicatorError("condition (2)")
+        for start in starts[ref]:
+            for kt in ks:
+                if d[start + kt - 1] != 1.0:
+                    raise dm.InfeasibleIndicatorError("condition (5)")
+        for k in flags.get(ref, ()):
+            if not (1 <= k <= n):
+                raise IndexError("flag out of range")
+            if d[k - 1] != 0.0:
+                raise dm.InfeasibleIndicatorError("flag collides")
+    return theta
+
+
+def _outcome(fn, *args):
+    try:
+        e = fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc)
+    return {r: v.tobytes() for r, v in e.values.items()}
+
+
+def test_indicator_matches_the_verified_construction_on_random_draws():
+    rng = np.random.default_rng(2022)
+    seen = set()
+    for _ in range(1500):
+        m = vf.random_model(rng)
+        n1 = m.smallest_dim
+        M = n1 if rng.random() < 0.05 else int(rng.integers(1, n1))
+        if rng.random() < 0.3:
+            K = [int(k) for k in rng.integers(-1, n1, size=int(rng.integers(0, 4)))]
+        else:  # well spaced, the largest offset n_1 - M or n_1 - M - 1
+            K = list(range(n1 - M - int(rng.integers(0, 2)), -1, -M))
+        F = None
+        if rng.random() < 0.6:
+            refs = m.all_refs()
+            F = {refs[int(rng.integers(len(refs)))]:
+                 {int(k) for k in rng.integers(0, n1 + 2, size=int(rng.integers(1, 3)))}
+                 for _ in range(int(rng.integers(1, 3)))}
+        want = _outcome(_indicator_ref, m, M, K, F)
+        got = _outcome(dm.build_indicator, m, M, K, F)
+        assert got == want, (m, M, K, F)
+        seen.add(want if isinstance(want, type) else dict)
+    assert seen == {ValueError, IndexError, dm.InfeasibleIndicatorError, dict}
+
+
 def test_soft_threshold_identity_and_cut(two_level_model, rng):
     e = dm.random_element(two_level_model, rng)
     assert dm.norm_dist(dm.soft_threshold(e, 0.0), e) == 0.0

@@ -111,13 +111,13 @@ def test_propagate_requires_simplicity(two_level_model, rng):
     e = dm.Element(two_level_model, vals)
     zc = sp.make_zero_cross(e, 0.5)
     with pytest.raises(sp.SimplicityError):
-        sp.propagate_crosses([d, d], 1, zc)
+        sp.propagate_crosses([d, d], zc)
 
 
 def test_propagate_at_planned_depth(planned_chain):
     chain, planted = planned_chain
     zc = sp.make_zero_cross(planted, 0.0625)
-    prop = sp.propagate_crosses(list(chain.maps), 1, zc)
+    prop = sp.propagate_crosses(list(chain.maps), zc)
     assert prop.M == 6 and prop.N == prop.R + prop.M + 3
     assert prop.witness_index == 2
     model = chain.model(prop.stage_index)
@@ -140,19 +140,18 @@ def test_propagate_at_planned_depth(planned_chain):
 def test_propagate_gate_without_zero_cross_names_point(planned_chain):
     chain, planted = planned_chain
     zc = sp.make_zero_cross(planted, 0.0625)
-    unit = dm.unit_element(chain.model(1))
-    unrotated = dataclasses.replace(zc, left=unit, right=unit)  # gate set, no cross
+    unrotated = dataclasses.replace(zc, rotated=zc.element)  # gate set, no cross
     with pytest.raises(sp.PipelineError,
                        match=r"windowed_gathering.*PointRef\(level=\d+, point='\w+'\): "
                              r"delta_\d+ > 0 but the matrix has no zero cross"):
-        sp.propagate_crosses(list(chain.maps), 1, unrotated)
+        sp.propagate_crosses(list(chain.maps), unrotated)
 
 
 def test_propagate_reports_required_depth(fib_chain, rng):
     planted = plant(fib_chain.model(1), rng)
     zc = sp.make_zero_cross(planted, 0.0625)
     with pytest.raises(sp.ChainTooShortError) as info:
-        sp.propagate_crosses(list(fib_chain.maps), 1, zc)  # N = R+M+3 = 11
+        sp.propagate_crosses(list(fib_chain.maps), zc)  # N = R+M+3 = 11
     assert info.value.required_n1 == 67
 
 
@@ -169,7 +168,7 @@ def test_plan_chain_deepens_until_witness_and_n1():
     planned = sp.plan_chain(pd, chain, 14, planted, 0.25, 16, dyn.DEFAULT_SCAN_LENGTH)
     holds, j_witness = dm.check_simplicity_condition(list(planned.maps), 1, U)
     assert holds
-    j_plan, jp, M, N, _ = sp.gathering_plan(list(planned.maps), 1, U)
+    j_plan, jp, M, N, _ = sp.gathering_plan(list(planned.maps), U)
     assert (j_plan, jp) == (j_witness, planned.depth)
     models = [t.model for t in planned.towers]
     assert models[-1].smallest_dim >= N * M + 1

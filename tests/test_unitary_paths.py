@@ -11,6 +11,20 @@ def u(n, k1, k2, t):
     return up.u_transposition(up.TranspositionPathSpec(k1, k2, n), t)
 
 
+def transposition_profile(t):
+    """The 2x2 core (g1, g2, g3, g4) of the transposition path at time t, the
+    reference for the kernel: g1 = g4 = e^{-i pi t/2} cos(pi t/2) and
+    g2 = g3 = i e^{-i pi t/2} sin(pi t/2), and the exact flip (0, 1, 1, 0) at
+    t = 1 rather than its rounding (cos(pi/2) = 6.1e-17)."""
+    if t == 1.0:
+        zero, one = np.complex128(0.0), np.complex128(1.0)
+        return zero, one, one, zero
+    phase = np.exp(-1j * np.pi * t / 2)
+    g1 = phase * np.cos(np.pi * t / 2)
+    g2 = 1j * phase * np.sin(np.pi * t / 2)
+    return g1, g2, g2, g1
+
+
 def test_transposition_endpoints():
     spec = up.TranspositionPathSpec(2, 4, 5)
     assert np.max(np.abs(up.u_transposition(spec, 0.0) - np.eye(5))) <= 1e-12
@@ -19,26 +33,26 @@ def test_transposition_endpoints():
 
 
 def test_transposition_profile_is_the_exact_flip_at_one():
-    assert up.transposition_profile(1.0) == (0, 1, 1, 0)
-    assert all(type(g) is np.complex128 for g in up.transposition_profile(1.0))
+    assert transposition_profile(1.0) == (0, 1, 1, 0)
+    assert all(type(g) is np.complex128 for g in transposition_profile(1.0))
     spec = up.TranspositionPathSpec(2, 4, 5)
     swap = mk.perm_matrix(mk.Permutation.transposition(5, 2, 4))
     assert np.array_equal(up.u_transposition(spec, 1.0), swap)
+    core = up.u_transposition(up.TranspositionPathSpec(1, 2, 2), 1.0)
+    assert (core[0, 0], core[0, 1], core[1, 0], core[1, 1]) == transposition_profile(1.0)
 
 
 def test_transposition_profile_unchanged_inside(rng):
-    # the formula the path suites test, bit for bit, everywhere but t = 1
+    # the kernel's core against the formula everywhere but t = 1
     for t in [0.0, 0.5, np.nextafter(1.0, 0.0), 1e-300] + list(rng.random(20)):
-        phase = np.exp(-1j * np.pi * t / 2)
-        g1 = phase * np.cos(np.pi * t / 2)
-        g2 = 1j * phase * np.sin(np.pi * t / 2)
-        got = up.transposition_profile(t)
-        assert all(np.array_equal(x, y) for x, y in zip(got, (g1, g2, g2, g1)))
+        core = up.u_transposition(up.TranspositionPathSpec(1, 2, 2), float(t))
+        got = (core[0, 0], core[0, 1], core[1, 0], core[1, 1])
+        assert all(abs(x - y) <= 1e-15 for x, y in zip(got, transposition_profile(t)))
 
 
 def _old_rmul_transposition(m, a, b, t):
     """The kernel as a fancy-indexed product with the 2x2 core."""
-    g1, g2, _, _ = up.transposition_profile(t)
+    g1, g2, _, _ = transposition_profile(t)
     a, b = min(a, b), max(a, b)
     m[:, [a - 1, b - 1]] = m[:, [a - 1, b - 1]] @ np.array([[g1, g2], [g2, g1]])
 
@@ -97,7 +111,7 @@ def test_pipeline_unitaries_at_path_ends_are_exact_permutations(rng, monkeypatch
 
     monkeypatch.setattr(sp, "gather_multi", gather_multi)
     zc = sp.make_zero_cross(planted, 0.25 / 4)
-    prop = sp.propagate_crosses(maps, 1, zc)
+    prop = sp.propagate_crosses(maps, zc)
     g_prime, _, _ = sp.open_block_points(prop.image, 0.25 / 4)
     assert any(np.any(v) for v in g_prime.values.values())   # not wiped
     v3, g_second, _ = sp.condense_crosses(g_prime, prop.M, prop.N)
@@ -112,7 +126,7 @@ def test_pipeline_unitaries_at_path_ends_are_exact_permutations(rng, monkeypatch
 
 
 def test_transposition_midpoint_profile():
-    g1, g2, g3, g4 = up.transposition_profile(0.5)
+    g1, g2, g3, g4 = transposition_profile(0.5)
     assert abs(g1) == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
     assert abs(g4) == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
     assert abs(g2) == pytest.approx(np.sin(np.pi / 4), abs=1e-12)
@@ -202,7 +216,7 @@ def test_nesting_identity_sampled(rng):
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_gather_once_vacuous_and_zero(rng):
+def test_gather_multi_vacuous_and_zero(rng):
     # one window: gather_multi with a single window start
     n = 6
     a = random_crossed_matrix(rng, n, [3])
@@ -218,7 +232,7 @@ def test_gather_once_vacuous_and_zero(rng):
     assert np.array_equal(b2, z)
 
 
-def test_gather_once_moves_cross(rng):
+def test_gather_multi_moves_cross(rng):
     a = random_crossed_matrix(rng, 8, [3, 5])
     delta = np.zeros(8)
     delta[4] = 1.0  # position 5
@@ -227,7 +241,7 @@ def test_gather_once_moves_cross(rng):
     assert mk.is_unitary(v)
 
 
-def test_gather_once_precondition_errors(rng):
+def test_gather_multi_precondition_errors(rng):
     a = rng.standard_normal((6, 6)) + 0j
     delta = np.zeros(6)
     delta[3] = 1.0
@@ -248,7 +262,7 @@ def _window_product(n, k, delta, m_window):
     return out
 
 
-def test_gather_multi_single_window_matches_gather_once(rng):
+def test_gather_multi_matches_window_products(rng):
     a = random_crossed_matrix(rng, 9, [4])
     delta = np.zeros(9)
     delta[3] = 1.0
@@ -385,13 +399,14 @@ def test_vn_invariant_errors_name_the_constraint():
 
 
 def test_triangulate_check_zero_and_shift():
+    # A v_n is strictly lower triangular when r(A) <= N and A has the crosses
     n, N = 6, 2
     theta = (1.0,) + (0.0,) * (n - 1)
-    assert np.array_equal(up.triangulate_check(np.zeros((n, n)), theta, N), np.zeros((n, n)))
+    assert np.array_equal(np.zeros((n, n)) @ up.v_n(theta, N), np.zeros((n, n)))
 
     a = np.zeros((n, n), dtype=complex)
     a[4, 3] = 2.0  # strictly lower, r(A) = 2 <= N, crosses at 1, 2
-    t = up.triangulate_check(a, theta, N)
+    t = a @ up.v_n(theta, N)
     expected = a @ cycle_power_ref(n, N)
     assert np.array_equal(t, expected)
     assert mk.is_strictly_lower_triangular(t, 1e-9)
@@ -401,18 +416,4 @@ def test_triangulate_check_large_instance(rng):
     from dsh_lab.verify import banded_cross_fixture
 
     theta, a = banded_cross_fixture(rng, 18, 3)
-    t = up.triangulate_check(a, theta, 3)
-    assert mk.is_strictly_lower_triangular(t, 1e-9)
-
-
-def test_triangulate_check_reports_violations(rng):
-    n, N = 6, 2
-    theta = (1.0,) + (0.0,) * (n - 1)
-    wide = np.zeros((n, n), dtype=complex)
-    wide[5, 0] = 1.0  # radius n
-    with pytest.raises(ValueError, match="radius"):
-        up.triangulate_check(wide, theta, N)
-    dense = rng.standard_normal((n, n)) + 0j
-    with pytest.raises(ValueError, match="zero cross"):
-        up.triangulate_check(np.where(np.abs(np.subtract.outer(range(n), range(n))) >= 2,
-                                      0, dense), theta, N)
+    assert mk.is_strictly_lower_triangular(a @ up.v_n(theta, 3), 1e-9)
