@@ -1,11 +1,15 @@
 """Dense complex matrices, permutations, and zero-pattern predicates.
 
-Matrices are square ``numpy.complex128`` arrays. Every function returns a
-fresh read-only array, so values can be shared freely between concurrent
-workers. All row/column *positions* in this package are 1-based, matching
-the block-start / zero-cross bookkeeping of the algebra models built on top
-(``has_zero_cross(A, k)`` speaks about row and column ``k`` with
-``1 <= k <= n``).
+Matrices are square ``numpy.complex128`` arrays. The constructors
+(``as_matrix``, ``direct_sum``, ``perm_matrix``, ``matrix_from_json``)
+return fresh read-only arrays; ``matmul`` returns a fresh writable product,
+which its callers freeze. ``is_unitary`` and ``diagonal_radius`` reduce over
+the last two axes, so they also take a stack of matrices of shape
+(K, n, n) and return one answer per matrix; every other function works on
+single matrices. All row/column *positions* in this package are 1-based,
+matching the block-start / zero-cross bookkeeping of the algebra models
+built on top (``has_zero_cross(A, k)`` speaks about row and column ``k``
+with ``1 <= k <= n``).
 """
 
 from __future__ import annotations
@@ -202,13 +206,21 @@ def has_block_point(a: np.ndarray, k: int, atol: float = DEFAULT_ATOL) -> bool:
     return bool(np.all(np.abs(a[c:, :c]) <= atol) and np.all(np.abs(a[:c, c:]) <= atol))
 
 
-def diagonal_radius(a: np.ndarray, atol: float = DEFAULT_ATOL) -> int:
-    """Smallest r >= 0 with |A_{i,j}| <= atol whenever |i-j| >= r."""
-    a = np.asarray(a)
-    idx = np.argwhere(np.abs(a) > atol)
-    if idx.size == 0:
-        return 0
-    return int(np.max(np.abs(idx[:, 0] - idx[:, 1]))) + 1
+def diagonal_radius(a: np.ndarray, atol: float = DEFAULT_ATOL):
+    """Smallest r >= 0 with |A_{i,j}| <= atol whenever |i-j| >= r.
+
+    Reduces over the last two axes: an int for a matrix, an int array for a
+    stack of matrices.
+    """
+    big = np.abs(np.asarray(a)) > atol
+    n = big.shape[-1]
+    rows = np.arange(n)
+    # the farthest entry above atol in row i is its first or its last one
+    first = big.argmax(axis=-1)
+    last = n - 1 - big[..., ::-1].argmax(axis=-1)
+    reach = np.where(big.any(axis=-1), np.maximum(rows - first, last - rows) + 1, 0)
+    r = reach.max(axis=-1, initial=0)
+    return r if r.ndim else int(r)
 
 
 def is_strictly_lower_triangular(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
@@ -336,10 +348,13 @@ def min_singular_value(a: np.ndarray) -> float:
     return min(float(s.min()) for s in spectra)
 
 
-def is_unitary(a: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+def is_unitary(a: np.ndarray, atol: float = UNITARY_ATOL):
+    """max |A* A - I| <= atol, reduced over the last two axes: a bool for a
+    matrix, a bool array for a stack of matrices."""
     a = np.asarray(a)
-    n = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(n))) <= atol)
+    gram = a.conj().swapaxes(-1, -2) @ a
+    ok = np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1)) <= atol
+    return ok if ok.ndim else bool(ok)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -11,8 +11,6 @@ conjugation ``V A V*`` therefore applies the *rightmost* factor first.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,13 +68,39 @@ class ThetaVector:
         return ThetaVector(tuple(float(v) for v in values))
 
 
-def _check_t(t: float) -> float:
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"path parameter {t} outside [0, 1]")
-    return float(t)
+def _check_t(t: float | np.ndarray) -> float | np.ndarray:
+    """A path parameter in [0, 1] as a float, or a 1-D array of them as a
+    float64 array; NaN is out of range."""
+    if np.ndim(t) == 0:
+        if not (0.0 <= t <= 1.0):
+            raise ValueError(f"path parameter {t} outside [0, 1]")
+        return float(t)
+    t = np.asarray(t, dtype=np.float64)
+    bad = np.flatnonzero(~((0.0 <= t) & (t <= 1.0)))
+    if bad.size:
+        raise ValueError(f"path parameter {t[bad[0]]} at index {bad[0]} outside [0, 1]")
+    return t
 
 
-def _rmul_transposition(m: np.ndarray, a: int, b: int, t: float) -> None:
+def _identity(n: int, t: float | np.ndarray) -> np.ndarray:
+    """I_n for a parameter t, or a stack of one I_n per entry of an array t."""
+    out = np.zeros(np.shape(t) + (n, n), dtype=np.complex128)
+    out[..., np.arange(n), np.arange(n)] = 1.0
+    return out
+
+
+def _selector(mask: np.ndarray) -> slice | np.ndarray | None:
+    """The matrices of a stack where ``mask`` holds, as an index: a slice
+    when they are consecutive (ramps over a sorted grid give runs), else an
+    index array; None when there are none."""
+    idx = mask.nonzero()[0]
+    if not idx.size:
+        return None
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    return slice(lo, hi) if hi - lo == idx.size else idx
+
+
+def _rmul_transposition(m: np.ndarray, a: int, b: int, t: float | np.ndarray) -> None:
     """In place m <- m @ u_{(a b)}(t); a == b or t == 0 is the identity.
 
     Only columns a and b change, each to a combination of the two with the
@@ -86,39 +110,55 @@ def _rmul_transposition(m: np.ndarray, a: int, b: int, t: float) -> None:
     t = 1 the core is the exact flip (a column swap) rather than its rounding
     (cos(pi/2) = 6.1e-17), so every path the pipeline evaluates at its
     endpoints is a permutation.
+
+    ``m`` may also be a stack of shape (K, n, n) with ``t`` an array of K
+    parameters, one per matrix: each matrix then gets exactly what a call on
+    it alone with its own parameter gives, since both compute the same
+    elementwise operations.
     """
-    if a == b or t == 0.0:
+    if a == b:
         return
+    if np.ndim(t) == 0:
+        if t == 0.0:
+            return
+        # a lone matrix takes one branch whole; Ellipsis selects all of it
+        flip, move = (..., None) if t == 1.0 else (None, ...)
+    else:
+        flip, move = _selector(t == 1.0), _selector((t != 0.0) & (t != 1.0))
     i, j = a - 1, b - 1
-    if t == 1.0:
-        m[:, [i, j]] = m[:, [j, i]]
-        return
-    half = math.pi * t / 2
-    phase = cmath.exp(-1j * half)
-    g1 = phase * math.cos(half)
-    g2 = 1j * phase * math.sin(half)
-    x = m[:, i].copy()
-    y = m[:, j]
-    m[:, i] = g1 * x + g2 * y
-    m[:, j] = g2 * x + g1 * y
+    if flip is not None:
+        x = m[flip, :, i].copy()
+        m[flip, :, i] = m[flip, :, j]
+        m[flip, :, j] = x
+    if move is not None:
+        half = np.pi * np.asarray(t)[move, None] / 2
+        phase = np.exp(-1j * half)
+        g1 = phase * np.cos(half)
+        g2 = 1j * phase * np.sin(half)
+        x, y = m[move, :, i].copy(), m[move, :, j]
+        m[move, :, i] = g1 * x + g2 * y
+        m[move, :, j] = g2 * x + g1 * y
 
 
-def u_transposition(spec: TranspositionPathSpec, t: float) -> np.ndarray:
-    """Path value u_{(k1 k2)}(t); identity rows/columns outside {k1, k2}."""
+def u_transposition(spec: TranspositionPathSpec, t: float | np.ndarray) -> np.ndarray:
+    """Path value u_{(k1 k2)}(t); identity rows/columns outside {k1, k2}.
+    A 1-D array t gives the stack of the values at its entries."""
     t = _check_t(t)
-    out = np.eye(spec.n, dtype=np.complex128)
+    out = _identity(spec.n, t)
     _rmul_transposition(out, spec.k1, spec.k2, t)
     return _freeze(out)
 
 
-def eta_path(k: int, n: int, N: int, t: float, ambient: int | None = None) -> np.ndarray:
+def eta_path(k: int, n: int, N: int, t: float | np.ndarray,
+             ambient: int | None = None) -> np.ndarray:
     """u_{(k-N+1, a-N+1)}(t) ... u_{(k, a)}(t) with a = ambient (default n).
 
     Swaps the N-entry block ending at k with the block ending at ``a``. For
     k <= a-N the factors commute; beyond that the printed left-to-right
     order applies and coincident indices contribute identity factors. Passing
     ``ambient=i < n`` gives the same construction confined to the leading
-    i x i corner, which is what the nesting identity below conjugates.
+    i x i corner, which is what the nesting identity below conjugates. A 1-D
+    array t gives the stack of the values at its entries.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
@@ -128,7 +168,7 @@ def eta_path(k: int, n: int, N: int, t: float, ambient: int | None = None) -> np
     if k - N + 1 < 1:
         raise IndexError(f"block start {k - N + 1} out of range")
     t = _check_t(t)
-    out = np.eye(n, dtype=np.complex128)
+    out = _identity(n, t)
     for j in range(1, N + 1):
         _rmul_transposition(out, k - N + j, amb - N + j, t)
     return _freeze(out)
@@ -186,26 +226,25 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
 
 @dataclass(frozen=True)
 class UnitaryPath:
-    """An evaluable path theta in [0,1] -> unitary; consumers pick the grid."""
+    """An evaluable path theta in [0,1] -> unitary; consumers pick the grid.
+    A 1-D array of parameters gives the stack of the values at its entries."""
 
     n: int
-    _fn: Callable[[float], np.ndarray]
+    _fn: Callable[[float | np.ndarray], np.ndarray]
 
-    def __call__(self, theta: float) -> np.ndarray:
+    def __call__(self, theta: float | np.ndarray) -> np.ndarray:
         return self._fn(_check_t(theta))
 
 
-def ramp(j: int, i: int, theta: float) -> float:
-    """Piecewise-linear ramp: 0 below (i-1)/j, 1 above i/j."""
+def ramp(j: int, i: int, theta: float | np.ndarray) -> float | np.ndarray:
+    """Piecewise-linear ramp: 0 below (i-1)/j, 1 above i/j; elementwise on
+    an array theta."""
     lo, hi = (i - 1) / j, i / j
-    if theta <= lo:
-        return 0.0
-    if theta >= hi:
-        return 1.0
-    return (theta - lo) / (hi - lo)
+    # np.clip's result, without its argument handling
+    return np.minimum(np.maximum((theta - lo) / (hi - lo), 0.0), 1.0)
 
 
-def _rmul_cycle_gather(out: np.ndarray, i: int, j: int, theta: float) -> None:
+def _rmul_cycle_gather(out: np.ndarray, i: int, j: int, theta: float | np.ndarray) -> None:
     """out <- out @ u_j^i(theta).
 
     u_j^i ramps the consecutive transpositions (j-1, j), (j-2, j-1), ...,
@@ -233,8 +272,8 @@ def condense_path(n: int, zs: Sequence[int]) -> UnitaryPath:
     if not (1 <= zs[0] and zs[-1] <= n):
         raise IndexError(f"cross positions {zs} out of range for dimension {n}")
 
-    def fn(theta: float) -> np.ndarray:
-        out = np.eye(n, dtype=np.complex128)
+    def fn(theta: float | np.ndarray) -> np.ndarray:
+        out = _identity(n, theta)
         for t in range(m, 0, -1):
             _rmul_cycle_gather(out, 1, zs[t - 1], ramp(m, t, theta))
         return _freeze(out)

@@ -38,6 +38,13 @@ def _check(ok: bool, detail: str) -> None:
         raise CounterexampleFound(detail)
 
 
+def _check_grid(ok: np.ndarray, detail) -> None:
+    """``_check`` at every point of a parameter grid at once: ``detail(k)``
+    describes the first point k where ``ok`` fails."""
+    if not ok.all():
+        raise CounterexampleFound(detail(int(np.argmin(ok))))
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -140,33 +147,31 @@ def _suite_conj(rng: np.random.Generator, trials: int) -> int:
             for k2 in range(k1 + 1, n):
                 for k3 in range(k2 + 1, n + 1):
                     swap = perm_matrix(Permutation.transposition(n, k2, k3))
-                    for t in t_samples:
-                        lhs = swap @ up.u_transposition(
-                            up.TranspositionPathSpec(k1, k2, n), t) @ swap
-                        rhs = up.u_transposition(up.TranspositionPathSpec(k1, k3, n), t)
-                        _check(np.max(np.abs(lhs - rhs)) <= DEFAULT_ATOL,
-                               f"conjugation identity failed at n={n}, "
-                               f"(k1,k2,k3)=({k1},{k2},{k3}), t={t}")
-                        checks += 1
+                    lhs = swap @ up.u_transposition(
+                        up.TranspositionPathSpec(k1, k2, n), t_samples) @ swap
+                    rhs = up.u_transposition(up.TranspositionPathSpec(k1, k3, n), t_samples)
+                    _check_grid(np.abs(lhs - rhs).max(axis=(-2, -1)) <= DEFAULT_ATOL,
+                                lambda k: f"conjugation identity failed at n={n}, "
+                                f"(k1,k2,k3)=({k1},{k2},{k3}), t={t_samples[k]}")
+                    checks += len(t_samples)
     return checks
 
 
 def _suite_fullconj(rng: np.random.Generator, trials: int) -> int:
     n_max = 10 if trials >= 50 else 7
-    thetas = (0.31, 0.77, 1.0)
+    thetas = np.array((0.31, 0.77, 1.0))
     checks = 0
     for n in range(3, n_max + 1):
         for N in range(1, 4):
             for i in range(2 * N, n - N + 1):
+                big = up.eta_path(i, n, N, 1.0)
                 for k in range(N, i - N + 1):
-                    big = up.eta_path(i, n, N, 1.0)
-                    for th in thetas:
-                        lhs = up.eta_path(k, n, N, th)
-                        rhs = big @ up.eta_path(k, n, N, th, ambient=i) @ big
-                        _check(np.max(np.abs(lhs - rhs)) <= DEFAULT_ATOL,
-                               f"nesting identity failed at n={n}, N={N}, i={i}, "
-                               f"k={k}, theta={th}")
-                        checks += 1
+                    lhs = up.eta_path(k, n, N, thetas)
+                    rhs = big @ up.eta_path(k, n, N, thetas, ambient=i) @ big
+                    _check_grid(np.abs(lhs - rhs).max(axis=(-2, -1)) <= DEFAULT_ATOL,
+                                lambda p: f"nesting identity failed at n={n}, N={N}, i={i}, "
+                                f"k={k}, theta={thetas[p]}")
+                    checks += len(thetas)
     return checks
 
 
@@ -281,18 +286,17 @@ def _suite_condense(rng: np.random.Generator, trials: int) -> int:
         zs = sorted(int(z) for z in rng.choice(np.arange(1, n + 1), size=m, replace=False))
         a = random_crossed_matrix(rng, n, zs)
         r_before = diagonal_radius(a)
-        path = up.condense_path(n, zs)
-        _check(np.array_equal(path(0.0), np.eye(n)), "path does not start at the identity")
-        for th in grid:
-            v = path(float(th))
-            _check(is_unitary(v), f"path value at theta={th} is not unitary")
-            b = v @ a @ v.conj().T
-            _check(diagonal_radius(b, PATH_ATOL) <= r_before + 2,
-                   f"radius exceeded r(A)+2 at theta={th} (n={n}, zs={zs})")
-        v1 = path(1.0)
-        b1 = v1 @ a @ v1.conj().T
+        vs = up.condense_path(n, zs)(grid)
+        # linspace puts exactly 0.0 and 1.0 at the ends of the grid
+        _check(np.array_equal(vs[0], np.eye(n)), "path does not start at the identity")
+        unitary = is_unitary(vs)
+        bs = vs @ a @ vs.conj().swapaxes(-1, -2)
+        bounded = diagonal_radius(bs, PATH_ATOL) <= r_before + 2
+        _check_grid(unitary & bounded,
+                    lambda k: f"path value at theta={grid[k]} is not unitary" if not unitary[k]
+                    else f"radius exceeded r(A)+2 at theta={grid[k]} (n={n}, zs={zs})")
         for k in range(1, m + 1):
-            _check(has_zero_cross(b1, k, PATH_ATOL),
+            _check(has_zero_cross(bs[-1], k, PATH_ATOL),
                    f"endpoint misses cross at {k} (n={n}, zs={zs})")
         checks += 1
     return checks

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from dsh_lab import cli
@@ -118,6 +119,54 @@ def test_verify_failing_suite_exits_3(capsys, monkeypatch):
     report = parse(out)
     assert report["suites"]["conj"]["passed"] is False
     assert "forced" in report["suites"]["conj"]["first_counterexample"]
+
+
+def _break_at(values, theta, bad):
+    """values with the matrices at the parameters ``bad`` doubled (no longer
+    unitary); theta is the parameter or parameter array they were taken at."""
+    out = np.array(values)
+    out[np.isin(theta, bad)] *= 2
+    return out
+
+
+def test_condense_names_the_first_failing_grid_point(capsys, monkeypatch):
+    from dsh_lab import unitary_paths as up
+
+    grid = np.linspace(0.0, 1.0, 50)
+    real = up.condense_path
+
+    def broken(n, zs):
+        path = real(n, zs)
+        return up.UnitaryPath(n, lambda theta: _break_at(path(theta), theta, grid[[17, 30]]))
+
+    monkeypatch.setattr(up, "condense_path", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "condense")
+    assert code == 3
+    suite = parse(out)["suites"]["condense"]
+    assert suite["passed"] is False and suite["checks"] == 0
+    assert suite["first_counterexample"] == f"path value at theta={grid[17]} is not unitary"
+
+
+def test_conj_names_the_first_failing_grid_point(capsys, monkeypatch):
+    from dsh_lab import unitary_paths as up
+
+    t_samples = np.linspace(0.0, 1.0, 20)
+    real = up.u_transposition
+
+    def broken(spec, t):
+        # u_(2 3) in dimension 6 enters the identity as the left side only,
+        # first for (k1,k2,k3) = (2,3,4)
+        if (spec.k1, spec.k2, spec.n) == (2, 3, 6):
+            return _break_at(real(spec, t), t, t_samples[[7, 12]])
+        return real(spec, t)
+
+    monkeypatch.setattr(up, "u_transposition", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "conj")
+    assert code == 3
+    suite = parse(out)["suites"]["conj"]
+    assert suite["passed"] is False and suite["checks"] == 0
+    assert suite["first_counterexample"] == (
+        f"conjugation identity failed at n=6, (k1,k2,k3)=(2,3,4), t={t_samples[7]}")
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
@@ -367,6 +416,10 @@ def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
     (("pipeline", "--max-points", "1"), 2, "no source representative"),
     (("unitary", "eval", "--kind", "eta", "--block", "0"), 2, "need N >= 1, got N=0"),
     (("unitary", "eval", "--kind", "eta", "--block", "-1"), 2, "need N >= 1, got N=-1"),
+    (("unitary", "eval", "--kind", "transposition", "--t", "nan"), 2,
+     "path parameter nan outside [0, 1]"),
+    (("unitary", "eval", "--kind", "transposition", "--t", "1.5"), 2,
+     "path parameter 1.5 outside [0, 1]"),
 ])
 def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)

@@ -27,7 +27,8 @@ FLOAT_ATOL = 1e-12
 PERIOD_DOUBLING = {"alphabet": ["0", "1"], "rules": {"0": "01", "1": "00"}, "seed": "0"}
 
 # Fibonacci at CLI defaults over the plant scales; period doubling at scale
-# 0.05 (seed 1104004 wipes the threshold); every suite at default trials.
+# 0.05 (seed 1104004 wipes the threshold); every suite at default trials, and
+# the three parameter-grid suites at two more seeds.
 PIPELINE_INPUTS = [
     ("pipeline", "--plant-scale", scale, "--seed", str(seed))
     for seed in range(4) for scale in ("0.02", "0.05", "0.1", "0.2")
@@ -35,7 +36,9 @@ PIPELINE_INPUTS = [
     ("pipeline", "--substitution", "{pd}", "--plant-scale", "0.05", "--seed", str(seed))
     for seed in (0, 1, 2, 3, 1104004)
 ]
-VERIFY_INPUTS = [("verify", "--suites", "all", "--seed", "0")]
+VERIFY_INPUTS = [("verify", "--suites", "all", "--seed", "0")] + [
+    ("verify", "--suites", "conj,fullconj,condense", "--seed", str(seed)) for seed in (1, 2)
+]
 GOLDEN = {"golden_pipeline.json": PIPELINE_INPUTS, "golden_verify.json": VERIFY_INPUTS}
 
 

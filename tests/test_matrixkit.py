@@ -118,6 +118,30 @@ def test_diagonal_radius_of_direct_sum_is_max(nb, nc, seed):
     assert mk.diagonal_radius(s) == max(mk.diagonal_radius(b), mk.diagonal_radius(c))
 
 
+def _radius_ref(a, atol):
+    """The definition: 1 + the largest |i - j| over entries above atol, else 0."""
+    idx = np.argwhere(np.abs(a) > atol)
+    return int(np.max(np.abs(idx[:, 0] - idx[:, 1]))) + 1 if idx.size else 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_unitary_and_radius_of_a_stack_are_per_matrix(n, rng):
+    banded = random_matrix(n, rng) * (np.abs(np.subtract.outer(range(n), range(n))) < 2)
+    tiny = np.full((n, n), 5e-13) + np.eye(n)   # off-diagonal entries below DEFAULT_ATOL
+    mats = [np.zeros((n, n)), np.eye(n), 2 * np.eye(n), random_unitary(n, rng),
+            random_matrix(n, rng), banded, tiny, np.roll(np.eye(n), 1, axis=0)]
+    stack = np.array(mats, dtype=np.complex128)
+    for atol in (mk.DEFAULT_ATOL, 1e-9, 0.0):
+        radii = mk.diagonal_radius(stack, atol)
+        assert radii.tolist() == [mk.diagonal_radius(a, atol) for a in mats]
+        assert radii.tolist() == [_radius_ref(a, atol) for a in mats]
+    for atol in (mk.UNITARY_ATOL, 0.0):
+        assert mk.is_unitary(stack, atol).tolist() == [mk.is_unitary(a, atol) for a in mats]
+    assert mk.is_unitary(stack).tolist() == [False, True, False, True, False, False,
+                                             True, True]
+    assert type(mk.diagonal_radius(mats[4])) is int and type(mk.is_unitary(mats[4])) is bool
+
+
 def test_op_norm_and_min_singular_value(rng):
     assert mk.op_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     assert mk.min_singular_value(np.eye(4)) == pytest.approx(1.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,12 @@ def test_kernel_swaps_columns_exactly_at_one_and_is_identity_at_zero(rng):
         assert out.tobytes() == m.tobytes()
         up._rmul_transposition(out, a, a, 0.5)
         assert out.tobytes() == m.tobytes()
+        # a stack: each matrix swaps or stays as its own parameter says
+        ts = rng.choice([0.0, 1.0], 4)
+        stack = np.array([m] * 4)
+        up._rmul_transposition(stack, a, b, ts)
+        for k in range(4):
+            assert stack[k].tobytes() == (want if ts[k] == 1.0 else m).tobytes()
 
 
 def test_kernel_agrees_with_the_core_product_inside(rng):
@@ -84,6 +92,96 @@ def test_kernel_agrees_with_the_core_product_inside(rng):
         up._rmul_transposition(new, a, b, float(t))
         _old_rmul_transposition(old, a, b, float(t))
         assert np.max(np.abs(new - old)) <= 1e-15
+
+
+def test_stacked_kernel_is_the_kernel_on_each_matrix(rng):
+    for _ in range(30):
+        n, K = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        a, b = (int(x) + 1 for x in rng.choice(n, 2, replace=False))
+        m = rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n))
+        ts = np.where(rng.random(K) < 0.4, rng.choice([0.0, 1.0], K), rng.random(K))
+        out = m.copy()
+        up._rmul_transposition(out, a, b, ts)
+        for k in range(K):
+            one = m[k].copy()
+            up._rmul_transposition(one, a, b, float(ts[k]))
+            assert out[k].tobytes() == one.tobytes()
+
+
+# the parameter grids of the conj, fullconj and condense suites
+SUITE_GRIDS = [np.linspace(0.0, 1.0, 20), np.linspace(0.0, 1.0, 5),
+               np.array([0.31, 0.77, 1.0]), np.linspace(0.0, 1.0, 50)]
+
+
+def _random_grid(rng, size=40):
+    """Random parameters in [0, 1], exact 0 and 1 among them, in random order."""
+    ts = rng.random(size)
+    ts[rng.choice(size, 6, replace=False)] = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    return ts
+
+
+def _assert_stack_of_scalar_values(stack, value, ts):
+    assert stack.shape[0] == len(ts) and not stack.flags.writeable
+    for v, t in zip(stack, ts):
+        assert v.tobytes() == value(float(t)).tobytes()
+
+
+@pytest.mark.parametrize("grid", range(len(SUITE_GRIDS) + 1))
+def test_paths_on_an_array_are_the_scalar_values_bitwise(rng, grid):
+    ts = SUITE_GRIDS[grid] if grid < len(SUITE_GRIDS) else _random_grid(rng)
+    for _ in range(6):
+        n = int(rng.integers(2, 11))
+        k1, k2 = sorted(int(x) + 1 for x in rng.choice(n, 2, replace=False))
+        spec = up.TranspositionPathSpec(k1, k2, n)
+        _assert_stack_of_scalar_values(up.u_transposition(spec, ts),
+                                       lambda t: up.u_transposition(spec, t), ts)
+
+        N = int(rng.integers(1, 4))
+        n = int(rng.integers(N, 12))
+        amb = int(rng.integers(N, n + 1))
+        k = int(rng.integers(N, amb + 1))
+        _assert_stack_of_scalar_values(up.eta_path(k, n, N, ts, ambient=amb),
+                                       lambda t: up.eta_path(k, n, N, t, ambient=amb), ts)
+
+        n = int(rng.integers(4, 17))
+        m = int(rng.integers(1, min(5, n + 1)))
+        path = up.condense_path(n, sorted(int(z) for z in rng.choice(n, m, replace=False) + 1))
+        _assert_stack_of_scalar_values(path(ts), path, ts)
+
+
+def _ramp_ref(j, i, theta):
+    """The piecewise definition: 0 below (i-1)/j, 1 above i/j, linear between."""
+    lo, hi = (i - 1) / j, i / j
+    if theta <= lo:
+        return 0.0
+    if theta >= hi:
+        return 1.0
+    return (theta - lo) / (hi - lo)
+
+
+def test_ramp_on_an_array_is_the_scalar_ramp(rng):
+    for j in range(1, 9):
+        for i in range(1, j + 1):
+            lo, hi = (i - 1) / j, i / j
+            ts = np.clip([lo, hi, np.nextafter(lo, 2.0), np.nextafter(hi, -1.0),
+                          np.nextafter(lo, -1.0), np.nextafter(hi, 2.0), *rng.random(6)], 0, 1)
+            got = up.ramp(j, i, ts)
+            assert got.tobytes() == np.array([_ramp_ref(j, i, float(t)) for t in ts]).tobytes()
+            assert got.tobytes() == np.array([up.ramp(j, i, float(t)) for t in ts]).tobytes()
+            assert (got[0], got[1]) == (0.0, 1.0)
+
+
+def test_array_parameters_are_checked_entry_by_entry():
+    spec = up.TranspositionPathSpec(1, 2, 3)
+    path = up.condense_path(3, [2])
+    for ts, k in (([0.0, np.nan, 1.0], 1), ([0.5, 1.0, 1.5, 2.0], 2), ([-0.0, -1e-300], 1)):
+        message = re.escape(f"path parameter {ts[k]} at index {k} outside [0, 1]")
+        for evaluate in (lambda t: up.u_transposition(spec, t),
+                         lambda t: up.eta_path(1, 3, 1, t), path):
+            with pytest.raises(ValueError, match=message):
+                evaluate(np.array(ts))
+    with pytest.raises(ValueError, match="path parameter nan outside"):
+        up.u_transposition(spec, float("nan"))
 
 
 def _zero_one_only(v):
