@@ -264,7 +264,6 @@ class PropagationStage:
     witness_index: int        # the simplicity witness stage
     left: Element             # V1
     right: Element            # V2
-    image: Element            # G = V1 phi(e') V2
     M: int
     N: int
     R: int
@@ -300,7 +299,27 @@ def gathering_plan(chain: list[DiagonalMap],
     )
 
 
-def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage) -> PropagationStage:
+def _gather_points(g: Element, gates: dict[PointRef, np.ndarray],
+                   windows: dict[PointRef, list[int]], M: int, preds: list[Predicate],
+                   ) -> tuple[dict, dict, dict]:
+    """``gather_multi`` at every free point of ``g``: (gathering values,
+    image values, the radius bound r(g) + M - 1 of each image value)."""
+    v_vals: dict[PointRef, np.ndarray] = {}
+    image_vals: dict[PointRef, np.ndarray] = {}
+    bounds: dict[PointRef, int] = {}
+    for ref, val in g.values.items():
+        bounds[ref] = diagonal_radius(val) + M - 1
+        witness = None
+        try:
+            v_vals[ref], image_vals[ref] = gather_multi(val, gates[ref], windows[ref], M)
+        except (ValueError, IndexError) as exc:
+            witness = f"{ref}: {exc}"
+        _require(preds, "windowed_gathering", witness is None, witness)
+    return v_vals, image_vals, bounds
+
+
+def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
+                      ) -> tuple[PropagationStage, Element]:
     """Push the zero cross at stage 1 down the chain until it recurs every M
     entries.
 
@@ -311,7 +330,10 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage) -> Propagati
     are recorded as ``windowed_gathering``; its outcome, a cross at 1+aM and
     diagonal radius grown by at most M-1, as ``periodic_zero_crosses`` and
     ``radius_bound``. The mapped value is a direct sum of blocks of dimension
-    at most R, so the radius bound implies radius at most R+M-1.
+    at most R, so the radius bound implies radius at most R+M-1. Returns the
+    stage (V1, V2 and the plan) and the image G = V1 phi(e') V2. The mapped
+    gate, rotated element and indicator are read point by point and go
+    before V1 and V2 are formed.
     """
     models = chain_models(chain)
     if zc.element.model != models[0]:
@@ -319,36 +341,30 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage) -> Propagati
     j_witness, jp, M, N, R = gathering_plan(chain, zc.points)
     model_jp = models[jp - 1]
     phi = compose_chain(chain, 1, jp)
-    delta_p = apply_diagonal_map(phi, zc.delta)
-    g = apply_diagonal_map(phi, zc.rotated)
-    theta = build_indicator(model_jp, M, tuple(a * M for a in range(N)))
+    # copies: a diagonal view would keep the whole mapped gate alive
+    gates = {ref: np.diag(v).real.copy()
+             for ref, v in apply_diagonal_map(phi, zc.delta).values.items()}
+    windows = {ref: [int(k) + 1 for k in np.flatnonzero(np.diag(v))]
+               for ref, v in build_indicator(
+                   model_jp, M, tuple(a * M for a in range(N))).values.items()}
 
     preds: list[Predicate] = []
-    v_vals: dict[PointRef, np.ndarray] = {}
-    image_vals: dict[PointRef, np.ndarray] = {}
-    for ref in model_jp.free_refs():
-        ks = [int(k) + 1 for k in np.flatnonzero(np.diag(theta.values[ref]))]
-        witness = None
-        try:
-            v_vals[ref], image_vals[ref] = gather_multi(
-                g.values[ref], np.real(np.diag(delta_p.values[ref])), ks, M)
-        except (ValueError, IndexError) as exc:
-            witness = f"{ref}: {exc}"
-        _require(preds, "windowed_gathering", witness is None, witness)
+    v_vals, image_vals, bounds = _gather_points(
+        apply_diagonal_map(phi, zc.rotated), gates, windows, M, preds)
     gather = Element(model_jp, v_vals)
     v1 = gather * apply_diagonal_map(phi, zc.left)
     v2 = apply_diagonal_map(phi, zc.right) * gather.adjoint()
     image = Element(model_jp, image_vals)
 
     _require_crosses(preds, "periodic_zero_crosses", image, range(0, N * M, M), PATH_ATOL)
-    for ref, val in image.values.items():
-        r = diagonal_radius(val, PATH_ATOL)
-        bound = diagonal_radius(g.values[ref]) + M - 1
+    for ref, bound in bounds.items():
+        r = diagonal_radius(image.values[ref], PATH_ATOL)
         _require(preds, "radius_bound", r <= bound, f"{ref}: radius {r} > {bound}")
-    return PropagationStage(
-        stage_index=jp, witness_index=j_witness, left=v1, right=v2, image=image,
+    stage = PropagationStage(
+        stage_index=jp, witness_index=j_witness, left=v1, right=v2,
         M=M, N=N, R=R, predicates=preds,
     )
+    return stage, image
 
 
 def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
@@ -374,7 +390,7 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     n_l = g.model.largest_dim
 
     def below_eps(delta: float) -> bool:
-        return norm_below([v - shrink(v, delta) for v in g.values.values()], eps)
+        return norm_below((v - shrink(v, delta) for v in g.values.values()), eps)
 
     lo = eps / n_l
     while not below_eps(lo):
@@ -419,8 +435,10 @@ def condense_crosses(g_prime: Element, M: int, N: int,
     nm = N * M
     if model.smallest_dim <= nm:
         raise ValueError(f"need n_1 > NM = {nm}, got n_1 = {model.smallest_dim}")
-    # verified 0/1 with its final nm entries zero, so every window fits
-    theta = build_indicator(model, nm, (0,))
+    # the indicator is verified 0/1 with its final nm entries zero, so
+    # every window fits
+    windows = {ref: np.flatnonzero(np.diag(v))
+               for ref, v in build_indicator(model, nm, (0,)).values.items()}
     block = condense_path(nm, tuple(1 + a * M for a in range(N)))(1.0)
 
     preds: list[Predicate] = []
@@ -438,7 +456,7 @@ def condense_crosses(g_prime: Element, M: int, N: int,
     v_vals: dict[PointRef, np.ndarray] = {}
     for ref in model.free_refs():
         v = np.eye(model.dim(ref.level), dtype=np.complex128)
-        for k in np.flatnonzero(np.diag(theta.values[ref])):
+        for k in windows[ref]:
             v[k:k + nm, k:k + nm] = block
         v_vals[ref] = _freeze(v)
     v3 = Element(model, v_vals)
@@ -462,7 +480,8 @@ def triangulate(g_second: Element, N: int) -> tuple[Element, Element, list[Predi
     model = g_second.model
     if model.smallest_dim <= N:
         raise ValueError(f"need n_1 > N = {N}, got n_1 = {model.smallest_dim}")
-    theta = build_indicator(model, N, (0,))
+    thetas = {ref: tuple(np.real(np.diag(v)))
+              for ref, v in build_indicator(model, N, (0,)).values.items()}
 
     preds: list[Predicate] = []
     _require_crosses(preds, "input_consecutive_crosses", g_second, range(N), DEFAULT_ATOL)
@@ -470,11 +489,7 @@ def triangulate(g_second: Element, N: int) -> tuple[Element, Element, list[Predi
         r = diagonal_radius(val, DEFAULT_ATOL)
         _require(preds, "input_radius_below_N", r < N, f"{ref}: radius {r} >= N={N}")
 
-    v_vals = {
-        ref: v_n(tuple(np.real(np.diag(theta.values[ref]))), N)
-        for ref in model.free_refs()
-    }
-    v4 = Element(model, v_vals)
+    v4 = Element(model, {ref: v_n(theta, N) for ref, theta in thetas.items()})
     out = g_second * v4
     for ref, val in out.values.items():
         _require(preds, "strictly_lower_triangular",
@@ -489,10 +504,17 @@ def rordam_invert(t: Element, delta: float) -> Element:
     ``triangulate`` certifies that every value of ``t`` is strictly lower
     triangular, hence nilpotent, so the sum is invertible at every point
     (determinant delta^n); the caller measures its minimum singular value.
+    Each value is copied once and shifted on its diagonal.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return t + delta * unit_element(t.model)
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        out = v.copy()
+        out[np.diag_indices_from(out)] += delta
+        return out
+
+    return t.map_values(shifted)
 
 
 def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
@@ -503,10 +525,14 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
 
     Budget: eps/4 for the singular-value cut, eps/4 for the soft threshold,
     eps/8 for the scalar perturbation (half the final quarter, leaving slack
-    for the triangulation tolerance). The certificate logs each stage's
-    unitaries, verified predicates, and consumed distance, plus the measured
-    total distance and minimum singular value, the threshold's delta, and
-    whether the threshold zeroed every free value.
+    for the triangulation tolerance). The certificate logs the ids of each
+    stage's unitaries, its verified predicates and consumed distance, plus
+    the measured total distance and minimum singular value, the threshold's
+    delta, and whether the threshold zeroed every free value.
+
+    At the output stage a run holds V1 and V2, V3 and V4 while a' still
+    needs them, one working element, and the operands of the product being
+    formed: about seven elements of the output's size at its peak.
     """
     t0 = time.perf_counter()
     _require_eps(eps)
@@ -526,29 +552,37 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         return a, cert
 
     zc = make_zero_cross(a, eps / 4, svs)
-    prop = propagate_crosses(chain, zc)
-
-    g_prime, delta_thresh, d_thresh = open_block_points(prop.image, eps / 4)
+    prop, g = propagate_crosses(chain, zc)
+    # g is the working element: the image G, then g', g'', T, the core and
+    # a'. Each rebinding releases the stage input it replaces; V4 and V3 go
+    # after their last products.
+    image_radii = {ref: diagonal_radius(v, PATH_ATOL) for ref, v in g.values.items()}
+    g, delta_thresh, d_thresh = open_block_points(g, eps / 4)
     # condense_crosses checks the crosses and block points that g' hands on
     thresh_preds: list[Predicate] = []
-    for ref, val in g_prime.values.items():
+    for ref, radius in image_radii.items():
         _require(thresh_preds, "radius_not_increased",
-                 diagonal_radius(val) <= diagonal_radius(prop.image.values[ref], PATH_ATOL),
-                 f"{ref}: radius increased")
+                 diagonal_radius(g.values[ref]) <= radius, f"{ref}: radius increased")
+    wiped = not any(np.any(v) for v in g.values.values())
 
-    v3, g_second, condense_preds = condense_crosses(g_prime, prop.M, prop.N)
-    v4, t_el, triangulate_preds = triangulate(g_second, prop.N)
+    v3, g, condense_preds = condense_crosses(g, prop.M, prop.N)
+    v4, g, triangulate_preds = triangulate(g, prop.N)
     delta_r = eps / 8
-    core = rordam_invert(t_el, delta_r)
-    core_minsv = min_singular_over_points(core)
+    g = rordam_invert(g, delta_r)
+    core_minsv = min_singular_over_points(g)
     if core_minsv <= 0.0:
         raise PipelineError("perturbed element is numerically singular")
-    a_prime = (v3.adjoint() * core * v4.adjoint() * v3)
-    a_prime = prop.left.adjoint() * a_prime * prop.right.adjoint()
+    g = v3.adjoint() * g
+    g = g * v4.adjoint()
+    del v4
+    g = g * v3
+    del v3
+    g = prop.left.adjoint() * g
+    g = g * prop.right.adjoint()
 
     phi = compose_chain(chain, 1, prop.stage_index)
-    total = norm_dist(apply_diagonal_map(phi, a), a_prime)
-    minsv = min_singular_over_points(a_prime)
+    total = norm_dist(apply_diagonal_map(phi, a), g)
+    minsv = min_singular_over_points(g)
 
     final_preds: list[Predicate] = []
     _require(final_preds, "total_distance_below_eps", total < eps, f"{total} >= {eps}")
@@ -573,13 +607,13 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         StageRecord("rordam_invert", delta_r, (), final_preds),
     ]
     cert = PipelineCertificate(
-        input_id=input_id, epsilon=eps, stages=stages, output=a_prime,
+        input_id=input_id, epsilon=eps, stages=stages, output=g,
         output_stage=prop.stage_index, total_distance=total,
         min_singular_value=minsv, runtime_ms=1000 * (time.perf_counter() - t0),
         threshold_delta=delta_thresh,
-        threshold_wiped=not any(np.any(v) for v in g_prime.values.values()),
+        threshold_wiped=wiped,
     )
-    return a_prime, cert
+    return g, cert
 
 
 def plan_chain(s: Substitution, chain: CylinderChain, max_depth: int, a: Element,

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,14 +118,14 @@ def test_propagate_requires_simplicity(two_level_model, rng):
 def test_propagate_at_planned_depth(planned_chain):
     chain, planted = planned_chain
     zc = sp.make_zero_cross(planted, 0.0625)
-    prop = sp.propagate_crosses(list(chain.maps), zc)
+    prop, image = sp.propagate_crosses(list(chain.maps), zc)
     assert prop.M == 6 and prop.N == prop.R + prop.M + 3
     assert prop.witness_index == 2
     model = chain.model(prop.stage_index)
     assert model.smallest_dim >= prop.N * prop.M + 1
     starts = dm.block_starts(model)
     for ref in model.all_refs():
-        val = dm.eval_element(prop.image, ref)
+        val = dm.eval_element(image, ref)
         for k in starts[ref]:
             assert mk.has_zero_cross(val, k, 1e-9)
         assert mk.diagonal_radius(val, 1e-9) <= prop.R + prop.M - 1
@@ -132,7 +133,7 @@ def test_propagate_at_planned_depth(planned_chain):
     phi = dm.compose_chain(list(chain.maps), 1, prop.stage_index)
     mapped = dm.apply_diagonal_map(phi, zc.left * zc.element * zc.right)
     assert sorted(np.linalg.svd(v, compute_uv=False)[0]
-                  for v in prop.image.values.values()) == pytest.approx(
+                  for v in image.values.values()) == pytest.approx(
         sorted(np.linalg.svd(v, compute_uv=False)[0] for v in mapped.values.values()),
         abs=1e-10)
 
@@ -448,6 +449,29 @@ def test_rordam_invert_cases(rng):
         sp.rordam_invert(zero, 0.0)
 
 
+def test_rordam_invert_shifts_a_copy_of_each_value(two_level_model, rng):
+    t = dm.random_element(two_level_model, rng)
+    vals = {}
+    for ref, v in t.values.items():
+        v = v.copy()
+        v[0, 1] = complex(-0.0, 0.0)
+        v[1, 0] = complex(0.0, -0.0)
+        v[2, 2] = complex(-0.0, -0.0)
+        vals[ref] = v
+    t = dm.Element(two_level_model, vals)
+    before = {ref: v.copy() for ref, v in t.values.items()}
+    delta = 0.3
+    out = sp.rordam_invert(t, delta)
+    want = t + delta * dm.unit_element(two_level_model)
+    for ref, v in out.values.items():
+        assert np.all(v == want.values[ref])
+        assert not v.flags.writeable
+        assert not t.values[ref].flags.writeable
+        assert np.array_equal(t.values[ref], before[ref])
+        # the input really holds the signed zeros it was given
+        assert np.signbit(t.values[ref][0, 1].real)
+
+
 def test_approximate_invertible_input_is_trivial(fib_chain):
     e = dm.unit_element(fib_chain.model(1))
     out, cert = sp.approximate_by_invertible(list(fib_chain.maps), e, 0.25)
@@ -506,6 +530,41 @@ def test_approximate_planted_end_to_end(rng):
     blob = cert.to_json()
     assert blob["summary"]["total_distance"] < eps
     assert set(blob["stages"][0]["predicates"]) == {"distance_within_eps", "zero_cross_at_1"}
+
+
+def _cli_input(s, seed, scale):
+    """(chain maps, planted element) as ``dsh-lab pipeline`` builds them at
+    its defaults for this substitution, seed and plant scale."""
+    chain = dyn.build_cylinder_chain(s, dyn.fibonacci_prefix_bases(s, 3), base_horizon=1,
+                                     max_points_per_level=16)
+    planted = plant(chain.model(1), np.random.default_rng(seed), scale)
+    chain = sp.plan_chain(s, chain, 14, planted, 0.25, 16, dyn.DEFAULT_SCAN_LENGTH)
+    return list(chain.maps), planted
+
+
+@pytest.mark.parametrize("rules, seed", [({"0": "01", "1": "0"}, 5), ({"0": "01", "1": "00"}, 3)],
+                         ids=["fibonacci", "period-doubling"])
+def test_pipeline_working_set_stays_within_eight_output_elements(rules, seed):
+    # a run holds the unitaries a' still needs, one working element and the
+    # operands of one product: about 7.3 output elements here, where keeping
+    # each stage's input to the end held 13, and keeping G or g' held 8.1-8.3
+    s = dyn.Substitution.from_json({"alphabet": ["0", "1"], "rules": rules, "seed": "0"})
+    maps, planted = _cli_input(s, seed, 0.05)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out, cert = sp.approximate_by_invertible(maps, planted, 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert cert.threshold_wiped is False
+    assert all(ok for st in cert.stages for (_, ok, _) in st.predicates)
+    out_bytes = sum(v.nbytes for v in out.values.values())
+    assert peak <= 8 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
 
 
 def test_certificate_records_threshold_delta_and_wipe(rng, fib_chain):

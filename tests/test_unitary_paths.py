@@ -209,8 +209,8 @@ def test_pipeline_unitaries_at_path_ends_are_exact_permutations(rng, monkeypatch
 
     monkeypatch.setattr(sp, "gather_multi", gather_multi)
     zc = sp.make_zero_cross(planted, 0.25 / 4)
-    prop = sp.propagate_crosses(maps, zc)
-    g_prime, _, _ = sp.open_block_points(prop.image, 0.25 / 4)
+    prop, image = sp.propagate_crosses(maps, zc)
+    g_prime, _, _ = sp.open_block_points(image, 0.25 / 4)
     assert any(np.any(v) for v in g_prime.values.values())   # not wiped
     v3, g_second, _ = sp.condense_crosses(g_prime, prop.M, prop.N)
     v4, _, _ = sp.triangulate(g_second, prop.N)
