@@ -26,7 +26,6 @@ from .matrixkit import (
     perm_matrix,
 )
 from .unitary_paths import (
-    ThetaVector,
     TranspositionPathSpec,
     condense_path,
     eta_path,

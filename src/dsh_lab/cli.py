@@ -280,7 +280,7 @@ def _cmd_unitary_eval(args) -> int:
             val = up.v_n(_parse_numbers(args.theta, "--theta"), args.block)
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown kind {args.kind}")
-    except (ValueError, IndexError, up.ThetaInvariantError) as exc:
+    except (ValueError, IndexError) as exc:
         raise DomainError(str(exc)) from exc
     _emit({"command": "unitary-eval", "seed": seed, "kind": args.kind,
            "matrix": matrix_to_json(val)}, args.out)

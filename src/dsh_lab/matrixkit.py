@@ -9,7 +9,8 @@ the last two axes, so they also take a stack of matrices of shape
 single matrices. All row/column *positions* in this package are 1-based,
 matching the block-start / zero-cross bookkeeping of the algebra models
 built on top (``has_zero_cross(A, k)`` speaks about row and column ``k``
-with ``1 <= k <= n``).
+with ``1 <= k <= n``). ``Permutation`` and ``perm_matrix`` stay as the
+independent reference that the ``conj`` suite and the tests check paths against.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1, ..., n}; ``images[j-1]`` is the image of j."""
+    """A bijection of {1, ..., n}; ``images[j-1]`` is the image of j. With
+    ``perm_matrix``, the reference that permutation paths are checked against."""
 
     images: tuple[int, ...]
 
@@ -170,7 +172,8 @@ class Permutation:
 
 
 def perm_matrix(p: Permutation) -> np.ndarray:
-    """Unitary with entry (i, j) = 1 exactly when i = p(j)."""
+    """Unitary with entry (i, j) = 1 exactly when i = p(j), built from the
+    definition: the reference for the permutations the paths build by index."""
     out = np.zeros((p.n, p.n), dtype=np.complex128)
     out[np.array(p.images, dtype=np.intp) - 1, np.arange(p.n)] = 1.0
     return _freeze(out)

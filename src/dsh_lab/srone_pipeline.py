@@ -480,7 +480,7 @@ def triangulate(g_second: Element, N: int) -> tuple[Element, Element, list[Predi
     model = g_second.model
     if model.smallest_dim <= N:
         raise ValueError(f"need n_1 > N = {N}, got n_1 = {model.smallest_dim}")
-    thetas = {ref: tuple(np.real(np.diag(v)))
+    thetas = {ref: np.diag(v).real.copy()
               for ref, v in build_indicator(model, N, (0,)).values.items()}
 
     preds: list[Predicate] = []
@@ -650,9 +650,9 @@ def plant_singular_element(model: FiniteDshModel, rng: np.random.Generator,
                            scale: float = 0.02) -> Element:
     """A random small-norm element with one exactly rank-deficient value.
 
-    The deficiency is planted at the first point of the highest level by
-    zeroing the smallest singular value; every other point stays generically
-    invertible at this scale.
+    The deficiency is planted at the free point of the highest level whose
+    id sorts last, by zeroing the smallest singular value; every other point
+    stays generically invertible at this scale.
     """
     vals = {}
     refs = sorted(model.free_refs())

@@ -40,42 +40,16 @@ class TranspositionPathSpec:
             raise ValueError(f"need 1 <= k1 < k2 <= n, got ({self.k1}, {self.k2}) in n={self.n}")
 
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """A vector of path parameters in [0, 1]^n."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("empty parameter vector")
-        for i, v in enumerate(self.values):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"entry {i + 1} = {v} outside [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> float:
-        """1-based entry access."""
-        return self.values[k - 1]
-
-    @staticmethod
-    def coerce(values) -> "ThetaVector":
-        if isinstance(values, ThetaVector):
-            return values
-        return ThetaVector(tuple(float(v) for v in values))
-
-
 def _check_t(t: float | np.ndarray) -> float | np.ndarray:
-    """A path parameter in [0, 1] as a float, or a 1-D array of them as a
-    float64 array; NaN is out of range."""
+    """A path parameter in [0, 1] as a float, or a nonempty 1-D array of them
+    (a grid, a gate or a theta) as a float64 array; NaN is out of range."""
     if np.ndim(t) == 0:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"path parameter {t} outside [0, 1]")
         return float(t)
     t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1 or not t.size:
+        raise ValueError(f"path parameters must form a nonempty 1-D array, got shape {t.shape}")
     bad = np.flatnonzero(~((0.0 <= t) & (t <= 1.0)))
     if bad.size:
         raise ValueError(f"path parameter {t[bad[0]]} at index {bad[0]} outside [0, 1]")
@@ -165,53 +139,58 @@ def eta_path(k: int, n: int, N: int, t: float | np.ndarray,
     amb = n if ambient is None else ambient
     if not (N <= k <= amb <= n):
         raise IndexError(f"need N <= k <= ambient <= n, got k={k}, N={N}, ambient={amb}, n={n}")
-    if k - N + 1 < 1:
-        raise IndexError(f"block start {k - N + 1} out of range")
     t = _check_t(t)
     out = _identity(n, t)
-    for j in range(1, N + 1):
-        _rmul_transposition(out, k - N + j, amb - N + j, t)
+    _rmul_eta(out, k, N, amb, t)
     return _freeze(out)
 
 
-def _rmul_window(v: np.ndarray, k: int, delta: ThetaVector, m_window: int) -> None:
+def _rmul_eta(m: np.ndarray, k: int, N: int, amb: int, t: float | np.ndarray) -> None:
+    """In place m <- m u_{(k-N+1, amb-N+1)}(t) ... u_{(k, amb)}(t)."""
+    for j in range(1, N + 1):
+        _rmul_transposition(m, k - N + j, amb - N + j, t)
+
+
+def _rmul_window(v: np.ndarray, k: int, delta: np.ndarray, m_window: int) -> None:
     """In place v <- v u_{(k,k+1)}(delta_{k+1}) ... u_{(k,k+M-1)}(delta_{k+M-1})."""
     for a in range(1, m_window):
-        _rmul_transposition(v, k, k + a, delta[k + a])
+        _rmul_transposition(v, k, k + a, delta[k + a - 1])
 
 
-def _check_gate(a: np.ndarray, delta: ThetaVector) -> None:
+def _check_gate(a: np.ndarray, delta: np.ndarray) -> None:
     n = a.shape[0]
-    if delta.n != n:
-        raise ValueError(f"delta has length {delta.n}, matrix has dimension {n}")
-    crosses = set(zero_cross_positions(a, DEFAULT_ATOL))
-    for i in range(1, n + 1):
-        if delta[i] > 0.0 and i not in crosses:
-            raise ValueError(f"delta_{i} > 0 but the matrix has no zero cross at position {i}")
+    if len(delta) != n:
+        raise ValueError(f"delta has length {len(delta)}, matrix has dimension {n}")
+    crosses = zero_cross_positions(a, DEFAULT_ATOL)
+    # not np.setdiff1d: numpy's set routines import numpy.ma, 1.3 MB per process
+    bad = [i for i in np.flatnonzero(delta > 0.0) + 1 if i not in crosses]
+    if bad:
+        raise ValueError(f"delta_{bad[0]} > 0 but the matrix has no zero cross at position {bad[0]}")
 
 
-def _check_window(n: int, k: int, delta: ThetaVector, m_window: int) -> None:
+def _check_window(n: int, k: int, delta: np.ndarray, m_window: int) -> None:
     if not (1 <= k and k + m_window - 1 <= n):
         raise IndexError(f"window [{k}, {k + m_window - 1}] does not fit in dimension {n}")
-    if not any(delta[i] == 1.0 for i in range(k, k + m_window)):
+    if not (delta[k - 1:k + m_window - 1] == 1.0).any():
         raise ValueError(f"no entry of delta equals 1 inside the window [{k}, {k + m_window - 1}]")
 
 
 def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather zero crosses into every position of ks (windows of width M).
 
-    ks must be increasing with gaps >= M, every window must fit and hold a
-    full gate entry, and every positive gate entry must sit on a zero cross
-    of A. The returned pair is (V_N ... V_1, the conjugated matrix). The
-    windows are disjoint, so the factors commute and are accumulated into one
-    unitary that conjugates A once. A window whose parameters above k all
-    vanish contributes the identity (then delta_k = 1 and A already has the
-    cross at k). The outcome, a cross at every k and diagonal radius grown by
-    at most M-1, is for the caller to check: the pipeline records it as
-    ``periodic_zero_crosses`` and ``radius_bound``.
+    The gate delta is a 1-D array of n parameters in [0, 1], delta_i at
+    position i. ks must be increasing with gaps >= M, every window must fit
+    and hold a full gate entry, and every positive gate entry must sit on a
+    zero cross of A. The returned pair is (V_N ... V_1, the conjugated
+    matrix). The windows are disjoint, so the factors commute and are
+    accumulated into one unitary that conjugates A once. A window whose
+    parameters above k all vanish contributes the identity (then delta_k = 1
+    and A already has the cross at k). The outcome, a cross at every k and
+    diagonal radius grown by at most M-1, is for the caller to check: the
+    pipeline records it as ``periodic_zero_crosses`` and ``radius_bound``.
     """
     a = np.asarray(a, dtype=np.complex128)
-    delta = ThetaVector.coerce(delta)
+    delta = _check_t(delta)
     ks = list(ks)
     for j in range(len(ks) - 1):
         if ks[j + 1] - ks[j] < m_window:
@@ -281,23 +260,19 @@ def condense_path(n: int, zs: Sequence[int]) -> UnitaryPath:
     return UnitaryPath(n, fn)
 
 
-def theta_violations(theta: ThetaVector, N: int) -> list[tuple[str, str]]:
-    """The v_n constraints that theta breaks: (constraint name, detail)."""
-    out = []
-    vals = theta.values
-    n = theta.n
-    if vals[0] != 1.0:
-        out.append(("first_entry", f"first entry is {vals[0]}, not 1"))
-    for k in range(max(0, n - N), n):
-        if vals[k] != 0.0:
-            out.append(("final_entries", f"entry {k + 1} = {vals[k]} inside the final {N}"))
-            break
-    for k in range(n - N + 1):
-        window = vals[k:k + N]
-        if sum(1 for v in window if v > 0.0) > 1:
-            out.append(("window", f"more than one nonzero in entries {k + 1}..{k + N}"))
-            break
-    return out
+def _check_theta(theta: np.ndarray, N: int) -> None:
+    """Raise ThetaInvariantError for the first v_n constraint that theta breaks."""
+    if theta[0] != 1.0:
+        raise ThetaInvariantError("first_entry", f"first entry is {theta[0]}, not 1")
+    nonzero = np.flatnonzero(theta)
+    if nonzero[-1] >= len(theta) - N:
+        k = nonzero[nonzero >= len(theta) - N][0]
+        raise ThetaInvariantError("final_entries", f"entry {k + 1} = {theta[k]} inside the final {N}")
+    # crowded[k]: entries k+1..k+N hold more than one nonzero
+    crowded = np.convolve(theta > 0.0, np.ones(N), mode="valid") > 1
+    if crowded.any():
+        k = np.argmax(crowded)
+        raise ThetaInvariantError("window", f"more than one nonzero in entries {k + 1}..{k + N}")
 
 
 def cycle_power(n: int, N: int) -> np.ndarray:
@@ -309,12 +284,14 @@ def cycle_power(n: int, N: int) -> np.ndarray:
 def v_n(theta, N: int, validate: bool = True) -> np.ndarray:
     """The triangulating unitary: U[gamma_{1,n}]^N times the eta-path product.
 
-    theta must have first entry 1, final N entries 0, and at most one
-    nonzero among any N consecutive entries. Where theta_k = 1 the result
-    splits as a direct sum of smaller v_n blocks.
+    theta is a 1-D array of parameters in [0, 1], checked even without
+    ``validate``; ``validate`` checks that it has first entry 1, final N
+    entries 0, and at most one nonzero among any N consecutive entries.
+    Where theta_k = 1 the result splits as a direct sum of smaller v_n
+    blocks.
     """
-    theta = ThetaVector.coerce(theta)
-    n = theta.n
+    theta = _check_t(theta)
+    n = len(theta)
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
     # n == N arises in the recursive block decomposition (consecutive 1s
@@ -322,13 +299,9 @@ def v_n(theta, N: int, validate: bool = True) -> np.ndarray:
     # the identity. Validated top-level vectors always have n > N since the
     # first entry is 1 and the final N vanish.
     if validate:
-        bad = theta_violations(theta, N)
-        if bad:
-            raise ThetaInvariantError(bad[0][0], bad[0][1])
+        _check_theta(theta, N)
     out = np.array(cycle_power(n, N))
-    for k in range(N, n):
-        t = theta[k + 1]
-        if t > 0.0:
-            for j in range(1, N + 1):
-                _rmul_transposition(out, k - N + j, n - N + j, t)
+    # theta_{k+1} drives the block swap of the N entries ending at k
+    for k in np.flatnonzero(theta[N:]) + N:
+        _rmul_eta(out, k, N, n, theta[k])
     return _freeze(out)

@@ -123,15 +123,10 @@ def banded_cross_fixture(rng: np.random.Generator, n: int, N: int):
     and zero crosses at k, ..., k+N-1 wherever theta_k > 0."""
     theta = random_valid_theta(rng, n, N)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) >= N:
-                a[i, j] = 0
-    for i, v in enumerate(theta):
-        if v > 0:
-            for z in range(i + 1, i + N + 1):
-                a[z - 1, :] = 0
-                a[:, z - 1] = 0
+    a[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= N] = 0
+    for i in np.flatnonzero(theta):
+        a[i:i + N, :] = 0
+        a[:, i:i + N] = 0
     return theta, a
 
 

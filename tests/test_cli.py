@@ -420,6 +420,8 @@ def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
      "path parameter nan outside [0, 1]"),
     (("unitary", "eval", "--kind", "transposition", "--t", "1.5"), 2,
      "path parameter 1.5 outside [0, 1]"),
+    (("unitary", "eval", "--kind", "vn", "--theta", "1,0,0,nan"), 2,
+     "path parameter nan at index 3 outside [0, 1]"),
 ])
 def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)

@@ -46,8 +46,21 @@ def test_make_zero_cross_prefers_highest_level(two_level_model, rng):
     # the highest level wins, then the first point in order
     assert sp.make_zero_cross(zeroed(b, c), 0.5).points == {c}
     assert sp.make_zero_cross(zeroed(a, b), 0.5).points == {a}
-    # the plant sits at the first point of the highest level
+    # the plant sits at the highest level's free point whose id sorts last
     assert sp.make_zero_cross(plant(two_level_model, rng), 0.5).points == {c}
+
+
+def test_plant_goes_to_the_top_level_id_that_sorts_last(rng):
+    # not the first free point of the top level: c comes first, d sorts last
+    model = FiniteDshModel((
+        Level(3, (ModelPoint("a"), ModelPoint("b"))),
+        Level(6, (ModelPoint("g", (PointRef(1, "a"), PointRef(1, "b"))),
+                  ModelPoint("c"), ModelPoint("d"))),
+    ))
+    planted = plant(model, rng)
+    singular = {ref for ref, val in planted.values.items()
+                if mk.min_singular_value(val) <= 1e-14}
+    assert singular == {PointRef(2, "d")}
 
 
 def test_make_zero_cross_singular_1x1_point():

@@ -410,6 +410,19 @@ def test_gather_multi_diagonal_and_radius(rng):
     assert mk.diagonal_radius(b2, 1e-9) <= r_before + 3 <= 6
 
 
+@pytest.mark.parametrize("gate, message", [
+    ((0.0, 1.0, 0.0, np.nan, 0.0, 0.0), "path parameter nan at index 3 outside"),
+    ((0.0, 1.0, 0.0, -0.1, 0.0, 0.0), "path parameter -0.1 at index 3 outside"),
+    ((0.0, 1.0, 0.0, 1.5, 0.0, 0.0), "path parameter 1.5 at index 3 outside"),
+    ((0.0, 1.0, 0.0, 0.0, 0.0), "delta has length 5, matrix has dimension 6"),
+    (((0.0, 1.0, 0.0), (0.0, 0.0, 0.0)), "nonempty 1-D array, got shape (2, 3)"),
+])
+def test_gather_multi_rejects_bad_gates(rng, gate, message):
+    a = random_crossed_matrix(rng, 6, [2])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        up.gather_multi(a, gate, [1], 3)
+
+
 def test_gather_multi_spacing_violation(rng):
     a = random_crossed_matrix(rng, 10, [2, 4])
     delta = np.zeros(10)
@@ -494,6 +507,89 @@ def test_vn_invariant_errors_name_the_constraint():
         up.v_n((1.0, 0.0, 0.0, 0.0, 1.0), 2)
     with pytest.raises(up.ThetaInvariantError, match="window"):
         up.v_n((1.0, 0.5, 0.0, 0.0, 0.0, 0.0), 2)
+
+
+@pytest.mark.parametrize("theta, message", [
+    ((), "nonempty 1-D array, got shape (0,)"),
+    (((1.0, 0.0), (0.0, 0.0)), "nonempty 1-D array, got shape (2, 2)"),
+    ((1.0, 0.0, 0.0, np.nan), "path parameter nan at index 3 outside"),
+])
+@pytest.mark.parametrize("validate", [True, False])
+def test_vn_rejects_malformed_theta(theta, message, validate):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        up.v_n(theta, 1, validate=validate)
+
+
+def _v_n_loop(theta, N):
+    """v_n as a loop over every k, reading theta_{k+1} 1-based from a tuple
+    of Python floats: the reference for the array form."""
+    vals = tuple(float(x) for x in theta)
+    n = len(vals)
+    out = np.array(cycle_power_ref(n, N))
+    for k in range(N, n):
+        t = vals[k]  # theta_{k+1}
+        if t > 0.0:
+            for j in range(1, N + 1):
+                up._rmul_transposition(out, k - N + j, n - N + j, t)
+    return out
+
+
+def _theta_violations(vals, N):
+    """Every v_n constraint that vals breaks, as (constraint name, detail),
+    entry by entry: the reference for the first one v_n reports."""
+    out = []
+    n = len(vals)
+    if vals[0] != 1.0:
+        out.append(("first_entry", f"first entry is {vals[0]}, not 1"))
+    for k in range(max(0, n - N), n):
+        if vals[k] != 0.0:
+            out.append(("final_entries", f"entry {k + 1} = {vals[k]} inside the final {N}"))
+            break
+    for k in range(n - N + 1):
+        window = vals[k:k + N]
+        if sum(1 for v in window if v > 0.0) > 1:
+            out.append(("window", f"more than one nonzero in entries {k + 1}..{k + N}"))
+            break
+    return out
+
+
+def test_vn_matches_the_loop_bitwise(rng):
+    fractional = 0
+    for _ in range(150):
+        N = int(rng.integers(1, 4))
+        n = int(rng.integers(N + 1, 41))
+        theta = random_valid_theta(rng, n, N)
+        fractional += any(0.0 < x < 1.0 for x in theta)
+        expected = _v_n_loop(theta, N).tobytes()
+        for form in (theta, list(theta), np.array(theta)):
+            assert up.v_n(form, N).tobytes() == expected
+        # the blocks of the decomposition go through validate=False
+        ones = [i for i, x in enumerate(theta) if x == 1.0]
+        for lo, hi in zip(ones, ones[1:] + [n]):
+            block = np.array(theta[lo:hi])
+            assert up.v_n(block, N, validate=False).tobytes() == _v_n_loop(block, N).tobytes()
+    assert fractional >= 30
+
+
+def test_check_theta_names_the_first_violation(rng):
+    seen = {"first_entry": 0, "final_entries": 0, "window": 0}
+    for _ in range(600):
+        N = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 41))
+        theta = np.where(rng.random(n) < 0.8, 0.0, np.where(rng.random(n) < 0.5, 1.0, rng.random(n)))
+        if rng.random() < 0.7:
+            theta[0] = 1.0
+        bad = _theta_violations(tuple(float(x) for x in theta), N)
+        if not bad:
+            up._check_theta(theta, N)
+            continue
+        name, detail = bad[0]
+        seen[name] += 1
+        with pytest.raises(up.ThetaInvariantError) as got:
+            up.v_n(theta, N)
+        assert got.value.constraint == name
+        assert str(got.value) == f"theta invariant '{name}' violated: {detail}"
+    assert min(seen.values()) >= 30
 
 
 def test_triangulate_check_zero_and_shift():
