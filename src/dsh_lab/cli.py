@@ -90,6 +90,12 @@ def _require_word(word: str) -> None:
         raise UsageError("--word must be nonempty")
 
 
+def _require_max_points(max_points: int) -> None:
+    # a level needs at least one sampled point
+    if max_points < 1:
+        raise UsageError(f"max-points must be at least 1, got {max_points}")
+
+
 def _check_out(out: str | None) -> None:
     """Fail before any work when --out is a directory or sits in a missing one."""
     if not out:
@@ -141,6 +147,7 @@ def _cmd_return_words(args) -> int:
 def _cmd_build_model(args) -> int:
     seed = _resolve_seed(args.seed)
     _require_word(args.word)
+    _require_max_points(args.max_points)
     s = _load_substitution(args.substitution)
     try:
         tower = dyn.build_tower_model(s, args.word, args.horizon,
@@ -209,6 +216,7 @@ def _cmd_pipeline(args) -> int:
     if args.max_depth < 2:
         # a chain needs one embedding map before any element can be pushed along it
         raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")
+    _require_max_points(args.max_points)
     s = _load_substitution(args.substitution)
     rng = np.random.default_rng(seed)
     bases = dyn.fibonacci_prefix_bases(s, min(3, args.max_depth))

@@ -410,7 +410,7 @@ def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
     (("pipeline", "--max-depth", "0"), 1, "max-depth"),
     (("pipeline", "--max-depth", "-2"), 1, "max-depth"),
     (("pipeline", "--max-depth", "1"), 1, "max-depth"),
-    (("pipeline", "--max-points", "0"), 2, "no sampled points"),
+    (("pipeline", "--max-points", "0"), 1, "max-points must be at least 1, got 0"),
     (("pipeline", "--scan-length", "5"), 2, "too short"),
     (("return-words", "--word", "0101", "--scan-length", "5"), 2, "too short"),
     (("pipeline", "--max-points", "1"), 2, "no source representative"),
@@ -422,6 +422,7 @@ def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
      "path parameter 1.5 outside [0, 1]"),
     (("unitary", "eval", "--kind", "vn", "--theta", "1,0,0,nan"), 2,
      "path parameter nan at index 3 outside [0, 1]"),
+    (("pipeline", "--max-points", "-3"), 1, "max-points must be at least 1, got -3"),
 ])
 def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)
@@ -448,6 +449,10 @@ def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     (("pipeline", "--horizon", "-2"), "horizon must be at least 1, got -2"),
     (("unitary", "eval", "--kind", "condense", "--positions", "x"), "--positions must be"),
     (("unitary", "eval", "--kind", "vn", "--theta", "x"), "--theta must be"),
+    (("build-model", "--word", "0", "--horizon", "1", "--max-points", "0"),
+     "max-points must be at least 1, got 0"),
+    (("build-model", "--word", "0", "--horizon", "1", "--max-points", "-3"),
+     "max-points must be at least 1, got -3"),
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, message):
     (tmp_path / "array.json").write_text("[1, 2]")
@@ -472,6 +477,24 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, out,
     assert stdout == ""
     assert err == f"dsh-lab: cannot write --out {out}: {message}\n"
     assert calls == []
+
+
+def test_non_permutation_gathering_is_a_domain_failure(capsys, monkeypatch):
+    # the pipeline reads each gathering unitary into a permutation index and
+    # refuses any other unitary
+    from dsh_lab import srone_pipeline as sp
+    from dsh_lab import unitary_paths as up
+
+    def gather_multi(*args):
+        v, image = up.gather_multi(*args)
+        return v @ up.u_transposition(up.TranspositionPathSpec(1, 2, len(v)), 0.5), image
+
+    monkeypatch.setattr(sp, "gather_multi", gather_multi)
+    code, out, err = run_cli(capsys, "pipeline", "--plant-scale", "0.05", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dsh-lab: ") and err.count("\n") == 1
+    assert "gathering unitary is not a 0/1 permutation matrix" in err
 
 
 def test_wiped_threshold_is_recorded(tmp_path, capsys):

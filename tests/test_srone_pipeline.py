@@ -8,8 +8,10 @@ from dsh_lab import dsh_model as dm
 from dsh_lab import dynamics as dyn
 from dsh_lab import matrixkit as mk
 from dsh_lab import srone_pipeline as sp
+from dsh_lab import unitary_paths as up
 from dsh_lab.dsh_model import FiniteDshModel, Level, ModelPoint, PointRef
-from conftest import zero_element
+from conftest import (assert_permutation_index, condensation_matrix, triangulating_matrix,
+                      zero_element)
 
 
 @pytest.fixture(scope="module")
@@ -351,10 +353,12 @@ def test_condense_and_triangulate_synthetic(rng):
     model, g_prime, M, N = synthetic_condensation_fixture(rng)
     starts = dm.block_starts(model)
     v3, g_second, _ = sp.condense_crosses(g_prime, M, N)
+    for ref in model.free_refs():
+        u = assert_permutation_index(v3[ref], condensation_matrix(model.dim(ref.level), M, N))
+        assert np.array_equal(g_second.values[ref], u @ g_prime.values[ref] @ u.conj().T)
     for ref in model.all_refs():
         before = dm.eval_element(g_prime, ref)
         after = dm.eval_element(g_second, ref)
-        assert mk.is_unitary(dm.eval_element(v3, ref))
         for k in starts[ref]:
             for z in range(k, k + N):
                 assert mk.has_zero_cross(after, z, 1e-9)
@@ -362,6 +366,9 @@ def test_condense_and_triangulate_synthetic(rng):
     assert dm.norm_dist(g_second, zero_element(model)) > 0
 
     v4, t_el, _ = sp.triangulate(g_second, N)
+    for ref in model.free_refs():
+        u = assert_permutation_index(v4[ref], triangulating_matrix(model.dim(ref.level), N))
+        assert np.array_equal(t_el.values[ref], g_second.values[ref] @ u)
     n_l = model.largest_dim
     for ref in model.all_refs():
         t_val = dm.eval_element(t_el, ref)
@@ -557,10 +564,10 @@ def _cli_input(s, seed, scale):
 
 @pytest.mark.parametrize("rules, seed", [({"0": "01", "1": "0"}, 5), ({"0": "01", "1": "00"}, 3)],
                          ids=["fibonacci", "period-doubling"])
-def test_pipeline_working_set_stays_within_eight_output_elements(rules, seed):
-    # a run holds the unitaries a' still needs, one working element and the
-    # operands of one product: about 7.3 output elements here, where keeping
-    # each stage's input to the end held 13, and keeping G or g' held 8.1-8.3
+def test_pipeline_working_set_stays_within_four_output_elements(rules, seed):
+    # a run holds one working element and the operands of the step forming
+    # it, with every pipeline unitary as a permutation index: 3.9 and 3.7
+    # output elements here, at the gathering of the largest point
     s = dyn.Substitution.from_json({"alphabet": ["0", "1"], "rules": rules, "seed": "0"})
     maps, planted = _cli_input(s, seed, 0.05)
     was_tracing = tracemalloc.is_tracing()
@@ -577,7 +584,60 @@ def test_pipeline_working_set_stays_within_eight_output_elements(rules, seed):
     assert cert.threshold_wiped is False
     assert all(ok for st in cert.stages for (_, ok, _) in st.predicates)
     out_bytes = sum(v.nbytes for v in out.values.values())
-    assert peak <= 8 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
+    assert peak <= 4 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
+
+
+def test_output_by_index_equals_dense_sandwich(rng, monkeypatch):
+    # with every pipeline unitary built densely, test-side, from its path:
+    # g'' = V3 g' V3* and T = g'' V4 agree exactly, and
+    # a' = V1* V3* core V4* V3 V2* to within rounding
+    chain = _deepened_chain(67)
+    maps = list(chain.maps)
+    planted = plant(chain.model(1), rng, scale=0.05)
+    seen = {}
+
+    def record(name, fn):
+        def wrapped(*args):
+            seen[name] = out = fn(*args)
+            return out
+        monkeypatch.setattr(sp, name, wrapped)
+
+    gathered = []
+
+    def gather_multi(*args):
+        gathered.append(up.gather_multi(*args))
+        return gathered[-1]
+
+    monkeypatch.setattr(sp, "gather_multi", gather_multi)
+    for name in ("make_zero_cross", "propagate_crosses", "open_block_points",
+                 "condense_crosses", "triangulate", "rordam_invert"):
+        record(name, getattr(sp, name))
+    out, cert = sp.approximate_by_invertible(maps, planted, 0.25)
+    assert cert.threshold_wiped is False
+
+    zc, (prop, _) = seen["make_zero_cross"], seen["propagate_crosses"]
+    g_prime = seen["open_block_points"][0]
+    v3, g_second, _ = seen["condense_crosses"]
+    v4, t_el, _ = seen["triangulate"]
+    core = seen["rordam_invert"]
+    model = out.model
+    phi = dm.compose_chain(maps, 1, cert.output_stage)
+    left = dm.apply_diagonal_map(phi, zc.left)
+    right = dm.apply_diagonal_map(phi, zc.right)
+    assert len(gathered) == len(model.free_refs())
+    for ref, (gather, _) in zip(model.free_refs(), gathered):
+        n = model.dim(ref.level)
+        assert_permutation_index(prop.gather[ref], gather)
+        w3 = assert_permutation_index(v3[ref], condensation_matrix(n, prop.M, prop.N))
+        w4 = assert_permutation_index(v4[ref], triangulating_matrix(n, prop.N))
+        w1 = gather @ left.values[ref]
+        w2 = right.values[ref] @ gather.conj().T
+        assert np.array_equal(g_second.values[ref], w3 @ g_prime.values[ref] @ w3.conj().T)
+        assert np.array_equal(t_el.values[ref], g_second.values[ref] @ w4)
+        dense = (w1.conj().T @ w3.conj().T @ core.values[ref] @ w4.conj().T @ w3
+                 @ w2.conj().T)
+        got = out.values[ref]
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.linalg.norm(got, 2)
 
 
 def test_certificate_records_threshold_delta_and_wipe(rng, fib_chain):

@@ -6,7 +6,8 @@ import pytest
 from dsh_lab import matrixkit as mk
 from dsh_lab import unitary_paths as up
 from dsh_lab.verify import random_crossed_matrix, random_valid_theta
-from conftest import cycle_power_ref
+from conftest import (assert_permutation_index, condensation_matrix, cycle_power_ref,
+                      triangulating_matrix)
 
 
 def u(n, k1, k2, t):
@@ -215,12 +216,18 @@ def test_pipeline_unitaries_at_path_ends_are_exact_permutations(rng, monkeypatch
     v3, g_second, _ = sp.condense_crosses(g_prime, prop.M, prop.N)
     v4, _, _ = sp.triangulate(g_second, prop.N)
 
+    # the pipeline holds each unitary as a permutation index whose 0/1
+    # matrix is exactly the path's end
     nm = prop.N * prop.M
     assert _zero_one_only(up.condense_path(nm, tuple(1 + a * prop.M for a in range(prop.N)))(1.0))
-    assert gathered and all(_zero_one_only(v) for v in gathered)
-    for el in (v3, v4):
-        for v in el.values.values():
-            assert _zero_one_only(v) and mk.is_unitary(v, 0.0)
+    model = g_second.model
+    assert len(gathered) == len(model.free_refs())
+    for ref, v in zip(model.free_refs(), gathered):
+        assert _zero_one_only(v)
+        assert_permutation_index(prop.gather[ref], v)
+        n = model.dim(ref.level)
+        assert_permutation_index(v3[ref], condensation_matrix(n, prop.M, prop.N))
+        assert_permutation_index(v4[ref], triangulating_matrix(n, prop.N))
 
 
 def test_transposition_midpoint_profile():
