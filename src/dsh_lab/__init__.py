@@ -7,9 +7,9 @@ certified pipeline approximating non-invertible elements by invertibles.
 
 import os
 
-# Extra BLAS threads cost CPU without saving time on the pipeline's products
-# (by index where a factor is a permutation); set before numpy loads OpenBLAS,
-# and a value the caller sets wins.
+# Extra BLAS threads cost CPU without saving time on the pipeline's dense
+# products and SVDs; set before numpy loads OpenBLAS, and a value the caller
+# sets wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .matrixkit import (

@@ -90,6 +90,11 @@ def _require_word(word: str) -> None:
         raise UsageError("--word must be nonempty")
 
 
+def _require_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise UsageError(f"horizon must be at least 1, got {horizon}")
+
+
 def _require_max_points(max_points: int) -> None:
     # a level needs at least one sampled point
     if max_points < 1:
@@ -147,6 +152,7 @@ def _cmd_return_words(args) -> int:
 def _cmd_build_model(args) -> int:
     seed = _resolve_seed(args.seed)
     _require_word(args.word)
+    _require_horizon(args.horizon)
     _require_max_points(args.max_points)
     s = _load_substitution(args.substitution)
     try:
@@ -211,8 +217,7 @@ def _cmd_pipeline(args) -> int:
         raise UsageError(f"epsilon must be finite and positive, got {args.epsilon}")
     if not math.isfinite(args.plant_scale):
         raise UsageError(f"plant-scale must be finite, got {args.plant_scale}")
-    if args.horizon < 1:
-        raise UsageError(f"horizon must be at least 1, got {args.horizon}")
+    _require_horizon(args.horizon)
     if args.max_depth < 2:
         # a chain needs one embedding map before any element can be pushed along it
         raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")

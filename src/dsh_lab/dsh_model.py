@@ -24,7 +24,6 @@ from .matrixkit import (
     _freeze,
     _frozen,
     direct_sum,
-    matmul,
     matrix_from_json,
     min_singular_value,
     op_norm,
@@ -181,10 +180,9 @@ class Element:
     """An assignment of matrices to the free points of a model.
 
     Values at glued points are always derived by diagonal assembly. Supports
-    pointwise algebra: ``e1 * e2``, ``e1 + e2``, ``e1 - e2``, ``c * e``,
-    ``e.adjoint()``. Values are read-only: a writeable array passed in is
-    copied, and the package's own operations freeze the arrays they have
-    just built in place instead.
+    the pointwise product ``e1 * e2`` and ``e.adjoint()``. Values are
+    read-only: a writeable array passed in is copied, and the package's own
+    operations freeze the arrays they have just built in place instead.
     """
 
     __slots__ = ("model", "values")
@@ -216,28 +214,7 @@ class Element:
         if self.model != other.model:
             raise ValueError("elements live on different models")
         return Element(self.model,
-                       {r: _freeze(matmul(v, other.values[r])) for r, v in self.values.items()})
-
-    def __add__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.model != other.model:
-            raise ValueError("elements live on different models")
-        return Element(self.model,
-                       {r: _freeze(v + other.values[r]) for r, v in self.values.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.model != other.model:
-            raise ValueError("elements live on different models")
-        return Element(self.model,
-                       {r: _freeze(v - other.values[r]) for r, v in self.values.items()})
-
-    def __rmul__(self, c) -> "Element":
-        if isinstance(c, (int, float, complex)):
-            return Element(self.model, {r: _freeze(c * v) for r, v in self.values.items()})
-        return NotImplemented
+                       {r: _freeze(v @ other.values[r]) for r, v in self.values.items()})
 
     def adjoint(self) -> "Element":
         return Element(self.model, {r: _freeze(np.conjugate(v.T, order="C"))

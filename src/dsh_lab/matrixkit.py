@@ -2,15 +2,15 @@
 
 Matrices are square ``numpy.complex128`` arrays. The constructors
 (``as_matrix``, ``direct_sum``, ``perm_matrix``, ``matrix_from_json``)
-return fresh read-only arrays; ``matmul`` returns a fresh writable product,
-which its callers freeze. ``is_unitary`` and ``diagonal_radius`` reduce over
-the last two axes, so they also take a stack of matrices of shape
-(K, n, n) and return one answer per matrix; every other function works on
-single matrices. All row/column *positions* in this package are 1-based,
-matching the block-start / zero-cross bookkeeping of the algebra models
-built on top (``has_zero_cross(A, k)`` speaks about row and column ``k``
-with ``1 <= k <= n``). ``Permutation`` and ``perm_matrix`` stay as the
-independent reference that the ``conj`` suite and the tests check paths against.
+return fresh read-only arrays; products are plain ``@``. ``is_unitary`` and
+``diagonal_radius`` reduce over the last two axes, so they also take a stack
+of matrices of shape (K, n, n) and return one answer per matrix; every other
+function works on single matrices. All row/column *positions* in this
+package are 1-based, matching the block-start / zero-cross bookkeeping of
+the algebra models built on top (``has_zero_cross(A, k)`` speaks about row
+and column ``k`` with ``1 <= k <= n``). ``Permutation`` and ``perm_matrix``
+stay as the independent reference that the ``conj`` suite and the tests
+check paths against.
 """
 
 from __future__ import annotations
@@ -95,43 +95,6 @@ def direct_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
         out[off:off + d, off:off + d] = b
         off += d
     return _freeze(out)
-
-
-# Below this dimension a BLAS product costs no more than checking the
-# factors' nonzero pattern (about 20 us), so ``matmul`` leaves it to ``@``.
-_BY_INDEX_MIN_DIM = 64
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, by index when a factor has at most one nonzero per line.
-
-    When every row of a has at most one nonzero, row i of the product is
-    that entry times one row of b; when every column of b has at most one
-    nonzero, column j is one column of a times that entry. Otherwise, and
-    for factors with a dimension below ``_BY_INDEX_MIN_DIM``, this is
-    ``a @ b``. Each entry of a product by index is a single product, so it
-    equals ``@`` to within rounding, and exactly for a 0/1 permutation
-    factor and finite entries.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if (a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]
-            or min(a.shape + b.shape) < _BY_INDEX_MIN_DIM):
-        return a @ b
-    dtype = np.result_type(a, b)
-    # the gathered rows or columns are the result's one allocation
-    nz = a != 0
-    if np.count_nonzero(nz, axis=1).max() <= 1:
-        cols = nz.argmax(axis=1)
-        out = b.take(cols, axis=0).astype(dtype, copy=False)
-        out *= a[np.arange(a.shape[0]), cols][:, None]
-        return out
-    nz = b != 0
-    if np.count_nonzero(nz, axis=0).max() <= 1:
-        rows = nz.argmax(axis=0)
-        out = a.take(rows, axis=1).astype(dtype, copy=False)
-        out *= b[rows, np.arange(b.shape[1])]
-        return out
-    return a @ b
 
 
 @dataclass(frozen=True)

@@ -332,11 +332,14 @@ def _gather_points(g: Element, gates: dict[PointRef, np.ndarray],
         bounds[ref] = diagonal_radius(val) + M - 1
         witness = None
         try:
-            v, image_vals[ref] = gather_multi(val, gates[ref], windows[ref], M)
+            v = gather_multi(val, gates[ref], windows[ref], M)
         except (ValueError, IndexError) as exc:
             witness = f"{ref}: {exc}"
         _require(preds, "windowed_gathering", witness is None, witness)
-        gather[ref] = _permutation_index(v, f"{ref}: gathering unitary")
+        p = gather[ref] = _permutation_index(v, f"{ref}: gathering unitary")
+        del v
+        # V val V* = val[p][:, p]
+        image_vals[ref] = _freeze(val[np.ix_(p, p)])
     return gather, image_vals, bounds
 
 
@@ -347,19 +350,20 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
 
     ``gathering_plan`` picks the simplicity witness stage for U, M, N, R and
     the gathering stage j'. At every free point of stage j',
-    ``gather_multi`` gathers the mapped cross gate into the windows that the
-    indicator marks (1s at k+aM over each block start k). Its preconditions
-    are recorded as ``windowed_gathering``; its outcome, a cross at 1+aM and
-    diagonal radius grown by at most M-1, as ``periodic_zero_crosses`` and
-    ``radius_bound``. The mapped value is a direct sum of blocks of dimension
-    at most R, so the radius bound implies radius at most R+M-1. Returns the
-    stage (the gathering unitaries as permutation indices, and the plan)
-    and the image G = V1 phi(e') V2, where V1 = gather phi(vL) and
-    V2 = phi(vR) gather*. No dense V1 or V2 is formed: the gathering
-    unitaries are exact permutations at their path ends, and each is read
-    into its index and let go point by point. The gathering of the largest
-    point, with the mapped rotated element still whole, is the run's peak:
-    about 3.7-3.9 output elements (see ``approximate_by_invertible``).
+    ``gather_multi`` builds the unitary that gathers the mapped cross gate
+    into the windows that the indicator marks (1s at k+aM over each block
+    start k). Its preconditions are recorded as ``windowed_gathering``; its
+    outcome, a cross at 1+aM and diagonal radius grown by at most M-1, as
+    ``periodic_zero_crosses`` and ``radius_bound``. The mapped value is a
+    direct sum of blocks of dimension at most R, so the radius bound implies
+    radius at most R+M-1. Returns the stage (the gathering unitaries as
+    permutation indices, and the plan) and the image G = V1 phi(e') V2,
+    where V1 = gather phi(vL) and V2 = phi(vR) gather*. No dense V1 or V2 is
+    formed: the gathering unitaries are exact permutations at their path
+    ends, so each is read into its index p, conjugating a value by it
+    indexes the value by p on both sides, and it is let go before the next
+    point. The stage peaks at about 2.2 output elements, below the run's
+    peak (see ``approximate_by_invertible``).
     """
     models = chain_models(chain)
     if zc.element.model != models[0]:
@@ -568,12 +572,13 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     vL and vR. a' is formed by one index of the core and two products,
     with phi(vL*) and phi(vR*) built from the stage-1 adjoints for those
     products only. At the output stage a run holds one working element
-    and the operands of the step forming it: about 3.7-3.9 elements of the
-    output's size at its peak (it was 7.2-7.3 with dense V1-V4 and their
-    adjoints), at the gathering of the largest point; the two products
-    reach about 3.0. Peak RSS fell from 57.4 to 48.4 MB on the benchmark's
-    period-doubling workload and from 764 to 366 MB on the Thue-Morse
-    default (2-vCPU Linux host, OpenBLAS).
+    and the operands of the step forming it: about 3.0-3.1 elements of the
+    output's size at its peak, in the soft-threshold search and the two
+    products; the gathering reaches about 2.2. It was 3.7-3.9 while the
+    gathering conjugated by dense products, and 7.2-7.3 with dense V1-V4
+    and their adjoints. Peak RSS fell from 57.4 to 48.4 MB on the
+    benchmark's period-doubling workload and from 764 to 366 MB on the
+    Thue-Morse default (2-vCPU Linux host, OpenBLAS).
     """
     t0 = time.perf_counter()
     _require_eps(eps)

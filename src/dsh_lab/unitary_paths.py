@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matrixkit import DEFAULT_ATOL, _freeze, matmul, zero_cross_positions
+from .matrixkit import DEFAULT_ATOL, _freeze, zero_cross_positions
 
 
 class ThetaInvariantError(ValueError):
@@ -175,19 +175,20 @@ def _check_window(n: int, k: int, delta: np.ndarray, m_window: int) -> None:
         raise ValueError(f"no entry of delta equals 1 inside the window [{k}, {k + m_window - 1}]")
 
 
-def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tuple[np.ndarray, np.ndarray]:
+def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> np.ndarray:
     """Gather zero crosses into every position of ks (windows of width M).
 
     The gate delta is a 1-D array of n parameters in [0, 1], delta_i at
     position i. ks must be increasing with gaps >= M, every window must fit
     and hold a full gate entry, and every positive gate entry must sit on a
-    zero cross of A. The returned pair is (V_N ... V_1, the conjugated
-    matrix). The windows are disjoint, so the factors commute and are
-    accumulated into one unitary that conjugates A once. A window whose
+    zero cross of A. Returns the gathering unitary V = V_N ... V_1; the
+    caller conjugates A by it, as V A V*. The windows are disjoint, so the
+    factors commute and are accumulated into one unitary. A window whose
     parameters above k all vanish contributes the identity (then delta_k = 1
-    and A already has the cross at k). The outcome, a cross at every k and
-    diagonal radius grown by at most M-1, is for the caller to check: the
-    pipeline records it as ``periodic_zero_crosses`` and ``radius_bound``.
+    and A already has the cross at k). The outcome, V A V* with a cross at
+    every k and diagonal radius grown by at most M-1, is for the caller to
+    check: the pipeline records it as ``periodic_zero_crosses`` and
+    ``radius_bound``.
     """
     a = np.asarray(a, dtype=np.complex128)
     delta = _check_t(delta)
@@ -200,7 +201,7 @@ def gather_multi(a: np.ndarray, delta, ks: Sequence[int], m_window: int) -> tupl
     for k in ks:
         _check_window(a.shape[0], k, delta, m_window)
         _rmul_window(total, k, delta, m_window)
-    return _freeze(total), _freeze(matmul(matmul(total, a), total.conj().T))
+    return _freeze(total)
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,8 @@ def test_pipeline_rejects_non_finite_element_file(tmp_path, capsys):
     (("unitary", "eval", "--kind", "vn", "--theta", "1,0,0,nan"), 2,
      "path parameter nan at index 3 outside [0, 1]"),
     (("pipeline", "--max-points", "-3"), 1, "max-points must be at least 1, got -3"),
+    (("build-model", "--word", "0", "--horizon", "0"), 1, "horizon must be at least 1, got 0"),
+    (("build-model", "--word", "0", "--horizon", "-1"), 1, "horizon must be at least 1, got -1"),
 ])
 def test_bad_chain_flags_exit_with_message(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)
@@ -486,8 +488,8 @@ def test_non_permutation_gathering_is_a_domain_failure(capsys, monkeypatch):
     from dsh_lab import unitary_paths as up
 
     def gather_multi(*args):
-        v, image = up.gather_multi(*args)
-        return v @ up.u_transposition(up.TranspositionPathSpec(1, 2, len(v)), 0.5), image
+        v = up.gather_multi(*args)
+        return v @ up.u_transposition(up.TranspositionPathSpec(1, 2, len(v)), 0.5)
 
     monkeypatch.setattr(sp, "gather_multi", gather_multi)
     code, out, err = run_cli(capsys, "pipeline", "--plant-scale", "0.05", "--seed", "5")

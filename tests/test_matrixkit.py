@@ -333,74 +333,6 @@ def test_norm_below_agrees_with_op_norm_on_split_matrices(rng):
             assert mk.norm_below([a], bound) == (norm < bound)
 
 
-def _perm(n, rng):
-    return mk.perm_matrix(mk.Permutation(tuple(int(i) + 1 for i in rng.permutation(n))))
-
-
-def _same_bits(x, y):
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-@pytest.fixture
-def by_index(monkeypatch):
-    """Products by index at every size, so small cases reach that path."""
-    monkeypatch.setattr(mk, "_BY_INDEX_MIN_DIM", 1)
-
-
-@pytest.mark.parametrize("n", [1, 2, 9, 64])
-def test_matmul_with_a_permutation_factor_is_bitwise_dense(n, rng, by_index):
-    p, a = _perm(n, rng), random_matrix(n, rng)
-    pairs = [(p, a), (a, p), (p, _perm(n, rng)), (p, p.conj().T), (a.conj().T, p)]
-    for x, y in pairs:
-        got = mk.matmul(x, y)
-        assert _same_bits(got, x @ y)
-        assert got.flags.c_contiguous
-
-
-def test_matmul_with_complex_monomial_factors_agrees_with_dense(rng, by_index):
-    for n in (1, 3, 16, 50):
-        mono = np.asarray(_perm(n, rng)) * random_matrix(n, rng)
-        a = random_matrix(n, rng)
-        for x, y in ((mono, a), (a, mono), (mono, mono.conj().T)):
-            want = x @ y
-            assert np.max(np.abs(mk.matmul(x, y) - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-def test_matmul_zero_lines_and_shapes(rng, by_index):
-    p = np.asarray(_perm(6, rng)).copy()
-    p[[1, 4]] = 0                      # zero rows: at most one nonzero per row
-    a = random_matrix(6, rng)
-    for x, y in ((p, a), (a, p.T), (np.zeros((6, 6)), a), (a, np.zeros((6, 6)))):
-        assert np.array_equal(mk.matmul(x, y), x @ y)
-    rect = np.zeros((3, 5), dtype=complex)
-    rect[[0, 2], [4, 1]] = [2j, -1.5]
-    b = random_matrix(5, rng)[:, :2]
-    assert np.array_equal(mk.matmul(rect, b), rect @ b)
-    assert np.array_equal(mk.matmul(b.T, rect.T), b.T @ rect.T)
-    one = np.array([[2 - 1j]])
-    assert _same_bits(mk.matmul(one, one), one @ one)
-    with pytest.raises(ValueError):
-        mk.matmul(rect, rect)
-
-
-def test_matmul_falls_back_to_the_dense_product(rng, by_index):
-    a, b = random_matrix(8, rng), random_matrix(8, rng)
-    assert _same_bits(mk.matmul(a, b), a @ b)
-    band = np.triu(np.tril(a, 1), -1)  # two nonzeros in most rows and columns
-    assert _same_bits(mk.matmul(band, band), band @ band)
-
-
-def test_matmul_goes_by_index_from_the_minimum_dimension(rng):
-    # 0 * inf is nan: a dense product spreads an infinite entry's nan down
-    # its column, a product by index multiplies it by its one entry only
-    for n, by_index in ((mk._BY_INDEX_MIN_DIM, True), (mk._BY_INDEX_MIN_DIM - 1, False)):
-        p, b = np.asarray(_perm(n, rng)).real, rng.standard_normal((n, n))
-        b[0, 0] = np.inf
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(p @ b).any()
-            assert np.isnan(mk.matmul(p, b)).any() != by_index
-
-
 def test_import_sets_one_blas_thread_unless_the_caller_set_one():
     probe = "import os, dsh_lab; print(os.environ['OPENBLAS_NUM_THREADS'])"
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

@@ -482,9 +482,8 @@ def test_rordam_invert_shifts_a_copy_of_each_value(two_level_model, rng):
     before = {ref: v.copy() for ref, v in t.values.items()}
     delta = 0.3
     out = sp.rordam_invert(t, delta)
-    want = t + delta * dm.unit_element(two_level_model)
     for ref, v in out.values.items():
-        assert np.all(v == want.values[ref])
+        assert np.all(v == t.values[ref] + delta * np.eye(len(v), dtype=np.complex128))
         assert not v.flags.writeable
         assert not t.values[ref].flags.writeable
         assert np.array_equal(t.values[ref], before[ref])
@@ -564,10 +563,10 @@ def _cli_input(s, seed, scale):
 
 @pytest.mark.parametrize("rules, seed", [({"0": "01", "1": "0"}, 5), ({"0": "01", "1": "00"}, 3)],
                          ids=["fibonacci", "period-doubling"])
-def test_pipeline_working_set_stays_within_four_output_elements(rules, seed):
+def test_pipeline_working_set_within_3_5_output_elements(rules, seed):
     # a run holds one working element and the operands of the step forming
-    # it, with every pipeline unitary as a permutation index: 3.9 and 3.7
-    # output elements here, at the gathering of the largest point
+    # it, with every pipeline unitary as a permutation index: 3.08 and 3.02
+    # output elements here, in the soft threshold and the a' products
     s = dyn.Substitution.from_json({"alphabet": ["0", "1"], "rules": rules, "seed": "0"})
     maps, planted = _cli_input(s, seed, 0.05)
     was_tracing = tracemalloc.is_tracing()
@@ -584,13 +583,13 @@ def test_pipeline_working_set_stays_within_four_output_elements(rules, seed):
     assert cert.threshold_wiped is False
     assert all(ok for st in cert.stages for (_, ok, _) in st.predicates)
     out_bytes = sum(v.nbytes for v in out.values.values())
-    assert peak <= 4 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
+    assert peak <= 3.5 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
 
 
 def test_output_by_index_equals_dense_sandwich(rng, monkeypatch):
     # with every pipeline unitary built densely, test-side, from its path:
-    # g'' = V3 g' V3* and T = g'' V4 agree exactly, and
-    # a' = V1* V3* core V4* V3 V2* to within rounding
+    # the image G = gather phi(e') gather*, g'' = V3 g' V3* and T = g'' V4
+    # agree exactly, and a' = V1* V3* core V4* V3 V2* to within rounding
     chain = _deepened_chain(67)
     maps = list(chain.maps)
     planted = plant(chain.model(1), rng, scale=0.05)
@@ -615,7 +614,7 @@ def test_output_by_index_equals_dense_sandwich(rng, monkeypatch):
     out, cert = sp.approximate_by_invertible(maps, planted, 0.25)
     assert cert.threshold_wiped is False
 
-    zc, (prop, _) = seen["make_zero_cross"], seen["propagate_crosses"]
+    zc, (prop, image) = seen["make_zero_cross"], seen["propagate_crosses"]
     g_prime = seen["open_block_points"][0]
     v3, g_second, _ = seen["condense_crosses"]
     v4, t_el, _ = seen["triangulate"]
@@ -624,10 +623,13 @@ def test_output_by_index_equals_dense_sandwich(rng, monkeypatch):
     phi = dm.compose_chain(maps, 1, cert.output_stage)
     left = dm.apply_diagonal_map(phi, zc.left)
     right = dm.apply_diagonal_map(phi, zc.right)
+    rotated = dm.apply_diagonal_map(phi, zc.rotated)
     assert len(gathered) == len(model.free_refs())
-    for ref, (gather, _) in zip(model.free_refs(), gathered):
+    for ref, gather in zip(model.free_refs(), gathered):
         n = model.dim(ref.level)
         assert_permutation_index(prop.gather[ref], gather)
+        assert (image.values[ref].tobytes()
+                == (gather @ rotated.values[ref] @ gather.conj().T).tobytes())
         w3 = assert_permutation_index(v3[ref], condensation_matrix(n, prop.M, prop.N))
         w4 = assert_permutation_index(v4[ref], triangulating_matrix(n, prop.N))
         w1 = gather @ left.values[ref]
