@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"dsh-lab: {exc}\n")
         return EXIT_DOMAIN
+    except MemoryError as exc:  # a size the flags allow but the machine cannot hold
+        sys.stderr.write(f"dsh-lab: out of memory: {exc}\n")
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -179,10 +179,9 @@ def validate_model(m: FiniteDshModel) -> ValidationReport:
 class Element:
     """An assignment of matrices to the free points of a model.
 
-    Values at glued points are always derived by diagonal assembly. Supports
-    the pointwise product ``e1 * e2`` and ``e.adjoint()``. Values are
-    read-only: a writeable array passed in is copied, and the package's own
-    operations freeze the arrays they have just built in place instead.
+    Values at glued points are always derived by diagonal assembly. Values
+    are read-only: a writeable array passed in is copied, and the package's
+    own operations freeze the arrays they have just built in place instead.
     """
 
     __slots__ = ("model", "values")
@@ -208,18 +207,6 @@ class Element:
         """Apply ``fn`` at every free point; ``fn`` must return a new array."""
         return Element(self.model, {r: _freeze(fn(v)) for r, v in self.values.items()})
 
-    def __mul__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.model != other.model:
-            raise ValueError("elements live on different models")
-        return Element(self.model,
-                       {r: _freeze(v @ other.values[r]) for r, v in self.values.items()})
-
-    def adjoint(self) -> "Element":
-        return Element(self.model, {r: _freeze(np.conjugate(v.T, order="C"))
-                                    for r, v in self.values.items()})
-
 
 def eval_element(e: Element, ref: PointRef) -> np.ndarray:
     """Stored matrix at a free point, diagonal assembly at a glued one."""
@@ -227,11 +214,6 @@ def eval_element(e: Element, ref: PointRef) -> np.ndarray:
     if not p.is_glued:
         return e.values[ref]
     return direct_sum(eval_element(e, r) for r in p.gluing)
-
-
-def unit_element(m: FiniteDshModel) -> Element:
-    return Element(m, {r: _freeze(np.eye(m.dim(r.level), dtype=np.complex128))
-                       for r in m.free_refs()})
 
 
 def random_value_stack(m: FiniteDshModel, rng: np.random.Generator, count: int,

@@ -41,7 +41,6 @@ from .dsh_model import (
     norm_dist,
     shrink,
     soft_threshold,
-    unit_element,
 )
 from .dynamics import (
     CylinderChain,
@@ -80,9 +79,7 @@ class SimplicityError(PipelineError):
 
 
 class ChainTooShortError(PipelineError):
-    def __init__(self, required_n1: int, message: str):
-        self.required_n1 = required_n1
-        super().__init__(message)
+    pass
 
 
 Predicate = tuple[str, bool, str | None]
@@ -127,7 +124,6 @@ class PipelineCertificate:
     input_id: str
     epsilon: float
     stages: list[StageRecord]
-    output: Element
     output_stage: int
     total_distance: float
     min_singular_value: float
@@ -168,8 +164,9 @@ def _min_singular_values(e: Element) -> dict[PointRef, float]:
 @dataclass
 class ZeroCrossStage:
     element: Element          # the perturbed element e'
-    left: Element             # vL
-    right: Element            # vR
+    # vL and vR at the rotated point; both are the unit everywhere else
+    left: np.ndarray
+    right: np.ndarray
     delta: Element            # diagonal gate: (1,1) entry 1 on U
     rotated: Element          # vL e' vR
     points: frozenset[PointRef]
@@ -206,7 +203,9 @@ def make_zero_cross(e: Element, eps: float,
     The smallest singular value at the located point is replaced by zero
     (that is the whole distance), and the unitaries carry the corresponding
     singular bases so that vL e' vR has a zero cross in position 1 there.
-    ``svs`` is ``_min_singular_values(e)`` when the caller has it already.
+    vL and vR are the unit away from that point, so the stage holds only
+    their matrices there. ``svs`` is ``_min_singular_values(e)`` when the
+    caller has it already.
     """
     _require_eps(eps)
     p_star = _zero_cross_point(_min_singular_values(e) if svs is None else svs, eps)
@@ -232,14 +231,7 @@ def make_zero_cross(e: Element, eps: float,
         v_mat = u_svd.conj().T[swap]
         w_mat = vh.conj().T[:, swap]
 
-    unit = unit_element(e.model)
-    left_vals = dict(unit.values)
-    right_vals = dict(unit.values)
-    left_vals[p_star] = _freeze(v_mat)
-    right_vals[p_star] = _freeze(w_mat)
-    v_left = Element(e.model, left_vals)
-    v_right = Element(e.model, right_vals)
-
+    v_mat, w_mat = _freeze(v_mat), _freeze(w_mat)
     delta_vals = {}
     for ref in e.model.free_refs():
         d = np.zeros((e.model.dim(ref.level),) * 2, dtype=np.complex128)
@@ -248,12 +240,14 @@ def make_zero_cross(e: Element, eps: float,
         delta_vals[ref] = _freeze(d)
     delta = Element(e.model, delta_vals)
 
-    rotated = v_left * e_prime * v_right
+    rotated_vals = dict(e_prime.values)
+    rotated_vals[p_star] = _freeze(v_mat @ e_prime.values[p_star] @ w_mat)
+    rotated = Element(e.model, rotated_vals)
     _require(preds, "distance_within_eps", distance < eps, f"{distance} >= {eps}")
     _require(preds, "zero_cross_at_1", has_zero_cross(rotated.values[p_star], 1, PATH_ATOL),
              f"no zero cross at {p_star}")
     return ZeroCrossStage(
-        element=e_prime, left=v_left, right=v_right, delta=delta, rotated=rotated,
+        element=e_prime, left=v_mat, right=w_mat, delta=delta, rotated=rotated,
         points=frozenset([p_star]), distance=distance, predicates=preds,
     )
 
@@ -284,6 +278,9 @@ class PropagationStage:
     # the gathering unitary's index at every free point of stage j'; with
     # the stage-1 vL and vR it gives V1 = gather phi(vL), V2 = phi(vR) gather*
     gather: dict[PointRef, np.ndarray]
+    # the 0-based offsets of the copies of the rotated point's block in each
+    # free value of stage j': where phi(vL) and phi(vR) differ from the unit
+    offsets: dict[PointRef, np.ndarray]
     M: int
     N: int
     R: int
@@ -313,7 +310,6 @@ def gathering_plan(chain: list[DiagonalMap],
         if models[jp - 1].smallest_dim >= required:
             return j_witness, jp, M, N, R
     raise ChainTooShortError(
-        required,
         f"chain exhausted at depth {len(models)}: need a stage with smallest "
         f"dimension >= {required} (N={N}, M={M})",
     )
@@ -357,13 +353,17 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
     ``periodic_zero_crosses`` and ``radius_bound``. The mapped value is a
     direct sum of blocks of dimension at most R, so the radius bound implies
     radius at most R+M-1. Returns the stage (the gathering unitaries as
-    permutation indices, and the plan) and the image G = V1 phi(e') V2,
-    where V1 = gather phi(vL) and V2 = phi(vR) gather*. No dense V1 or V2 is
-    formed: the gathering unitaries are exact permutations at their path
-    ends, so each is read into its index p, conjugating a value by it
-    indexes the value by p on both sides, and it is let go before the next
-    point. The stage peaks at about 2.2 output elements, below the run's
-    peak (see ``approximate_by_invertible``).
+    permutation indices, the offsets of the rotated point's blocks, and the
+    plan) and the image G = V1 phi(e') V2, where V1 = gather phi(vL) and
+    V2 = phi(vR) gather*. No dense V1 or V2 is formed: the gathering
+    unitaries are exact permutations at their path ends, so each is read
+    into its index p, conjugating a value by it indexes the value by p on
+    both sides, and it is let go before the next point. The mapped gate is
+    1 exactly at the first row of every copy of the rotated point's block,
+    copies inside a glued source point included, so its nonzero positions
+    are the offsets where phi(vL) and phi(vR) differ from the unit. The
+    stage peaks at about 2.2 output elements, below the run's peak (see
+    ``approximate_by_invertible``).
     """
     models = chain_models(chain)
     if zc.element.model != models[0]:
@@ -374,6 +374,7 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
     # copies: a diagonal view would keep the whole mapped gate alive
     gates = {ref: np.diag(v).real.copy()
              for ref, v in apply_diagonal_map(phi, zc.delta).values.items()}
+    offsets = {ref: np.flatnonzero(gate) for ref, gate in gates.items()}
     windows = {ref: [int(k) + 1 for k in np.flatnonzero(np.diag(v))]
                for ref, v in build_indicator(
                    model_jp, M, tuple(a * M for a in range(N))).values.items()}
@@ -388,7 +389,7 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
         r = diagonal_radius(image.values[ref], PATH_ATOL)
         _require(preds, "radius_bound", r <= bound, f"{ref}: radius {r} > {bound}")
     stage = PropagationStage(
-        stage_index=jp, witness_index=j_witness, gather=gather,
+        stage_index=jp, witness_index=j_witness, gather=gather, offsets=offsets,
         M=M, N=N, R=R, predicates=preds,
     )
     return stage, image
@@ -568,17 +569,14 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
 
     No pipeline unitary is held as a dense element: the gathering
     unitaries, V3 and V4 are exact permutations, held as one index array
-    per free point, and V1 and V2 are the gathering index with the stage-1
-    vL and vR. a' is formed by one index of the core and two products,
-    with phi(vL*) and phi(vR*) built from the stage-1 adjoints for those
-    products only. At the output stage a run holds one working element
-    and the operands of the step forming it: about 3.0-3.1 elements of the
-    output's size at its peak, in the soft-threshold search and the two
-    products; the gathering reaches about 2.2. It was 3.7-3.9 while the
-    gathering conjugated by dense products, and 7.2-7.3 with dense V1-V4
-    and their adjoints. Peak RSS fell from 57.4 to 48.4 MB on the
-    benchmark's period-doubling workload and from 764 to 366 MB on the
-    Thue-Morse default (2-vCPU Linux host, OpenBLAS).
+    per free point, and V1 and V2 are the gathering index with vL and vR,
+    held as their k x k matrices at the rotated point (k its dimension).
+    a' is one index of the core, then a k-row and a k-column update at
+    each offset where phi(vL*) and phi(vR*) differ from the unit, O(n k)
+    per block. At the output stage a run holds one working element and the
+    operands of the step forming it: about 3.1 elements of the output's
+    size at its peak, in the soft-threshold search; the gathering reaches
+    about 2.2.
     """
     t0 = time.perf_counter()
     _require_eps(eps)
@@ -591,7 +589,7 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
             input_id=input_id, epsilon=eps,
             stages=[StageRecord("already_invertible", 0.0, (),
                                 [("invertible", True, None)])],
-            output=a, output_stage=1, total_distance=0.0,
+            output_stage=1, total_distance=0.0,
             min_singular_value=min(svs.values()),
             runtime_ms=1000 * (time.perf_counter() - t0),
         )
@@ -619,14 +617,24 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         raise PipelineError("perturbed element is numerically singular")
     # a' = V1* V3* core V4* V3 V2* = phi(vL*) X phi(vR*), where
     # X = gather* V3* core V4* V3 gather is one index of the core: its rows
-    # are s = (gather V3)'s inverse index, its columns V4's index at s
-    rows = {ref: _inverse(prop.gather[ref][v3[ref]]) for ref in v3}
-    g = Element(g.model, {ref: _freeze(v[np.ix_(rows[ref], v4[ref][rows[ref]])])
-                          for ref, v in g.values.items()})
-    phi = compose_chain(chain, 1, prop.stage_index)
-    g = apply_diagonal_map(phi, zc.left.adjoint()) * g
-    g = g * apply_diagonal_map(phi, zc.right.adjoint())
+    # are s = (gather V3)'s inverse index, its columns V4's index at s.
+    # phi(vL*) and phi(vR*) are the unit but for a k x k block at each of
+    # the stage's offsets, so a' rotates those rows of X, then those columns
+    k = len(zc.left)
+    vl, vr = zc.left.conj().T, zc.right.conj().T
 
+    # a function, so that no loop variable keeps a core value alive after
+    def sandwiched(ref: PointRef, core: np.ndarray) -> np.ndarray:
+        s = _inverse(prop.gather[ref][v3[ref]])
+        x = core[np.ix_(s, v4[ref][s])]
+        for o in prop.offsets[ref]:
+            x[o:o + k] = vl @ x[o:o + k]
+        for o in prop.offsets[ref]:
+            x[:, o:o + k] = x[:, o:o + k] @ vr
+        return _freeze(x)
+
+    g = Element(g.model, {ref: sandwiched(ref, v) for ref, v in g.values.items()})
+    phi = compose_chain(chain, 1, prop.stage_index)
     total = norm_dist(apply_diagonal_map(phi, a), g)
     minsv = min_singular_over_points(g)
 
@@ -653,7 +661,7 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
         StageRecord("rordam_invert", delta_r, (), final_preds),
     ]
     cert = PipelineCertificate(
-        input_id=input_id, epsilon=eps, stages=stages, output=g,
+        input_id=input_id, epsilon=eps, stages=stages,
         output_stage=prop.stage_index, total_distance=total,
         min_singular_value=minsv, runtime_ms=1000 * (time.perf_counter() - t0),
         threshold_delta=delta_thresh,

@@ -14,6 +14,11 @@ def zero_element(m: FiniteDshModel) -> Element:
                        for r in m.free_refs()})
 
 
+def unit_element(m: FiniteDshModel) -> Element:
+    return Element(m, {r: np.eye(m.dim(r.level), dtype=np.complex128)
+                       for r in m.free_refs()})
+
+
 def model_from_json(obj: dict) -> FiniteDshModel:
     levels = []
     for lvl in obj["levels"]:

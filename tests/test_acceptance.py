@@ -108,22 +108,14 @@ def test_criterion_09_simplicity_witnesses():
 def test_criterion_10_end_to_end_pipeline():
     t0 = time.monotonic()
     fib = dyn.Substitution.fibonacci()
-    bases = dyn.fibonacci_prefix_bases(fib, 14)
-    chain = dyn.build_cylinder_chain(fib, bases[:3], base_horizon=1,
+    chain = dyn.build_cylinder_chain(fib, dyn.fibonacci_prefix_bases(fib, 3), base_horizon=1,
                                      max_points_per_level=16)
     rng = np.random.default_rng(2024)
     planted = sp.plant_singular_element(chain.model(1), rng, scale=0.02)
     eps = 0.25
-    depth = 3
-    while True:
-        try:
-            _, cert = sp.approximate_by_invertible(list(chain.maps), planted, eps,
-                                                   input_id="planted")
-            break
-        except sp.ChainTooShortError as exc:
-            while chain.towers[-1].model.smallest_dim < exc.required_n1:
-                depth += 1
-                chain = dyn.extend_cylinder_chain(fib, chain, bases[depth - 1], 16)
+    chain = sp.plan_chain(fib, chain, 14, planted, eps, 16, dyn.DEFAULT_SCAN_LENGTH)
+    _, cert = sp.approximate_by_invertible(list(chain.maps), planted, eps,
+                                           input_id="planted")
     elapsed = time.monotonic() - t0
     preds_ok = all(ok for s in cert.stages for (_, ok, _) in s.predicates)
     ok = (cert.total_distance < eps and cert.min_singular_value > 1e-3

@@ -9,7 +9,7 @@ import pytest
 
 from dsh_lab import cli
 from dsh_lab import verify as vf
-from conftest import element_to_json, strip_timing, zero_element
+from conftest import element_to_json, strip_timing, unit_element, zero_element
 
 
 def run_cli(capsys, *argv):
@@ -240,7 +240,7 @@ def _break_witness(monkeypatch):
 
     def unit_witness(m, ref, k):  # still refuses genuine block starts
         witness(m, ref, k)
-        return dm.unit_element(m)
+        return unit_element(m)
 
     monkeypatch.setattr(dm, "witness_no_block_point", unit_witness)
 
@@ -371,6 +371,22 @@ def test_unitary_eval_vn_invalid_theta_is_domain_error(capsys):
                            "--theta", "0.5,0,0,0", "--block", "1")
     assert code == 2
     assert "first_entry" in err
+
+
+def test_out_of_memory_is_a_domain_failure(capsys, monkeypatch):
+    # stands in for a size too large to allocate, such as --n 1000000,
+    # without asking the machine for it
+    from dsh_lab import unitary_paths as up
+
+    def too_large(spec, t):
+        raise MemoryError(f"Unable to allocate an array of shape ({spec.n}, {spec.n})")
+
+    monkeypatch.setattr(up, "u_transposition", too_large)
+    code, out, err = run_cli(capsys, "unitary", "eval", "--kind", "transposition",
+                             "--n", "1000000", "--k1", "1", "--k2", "2", "--t", "0.5")
+    assert (code, out) == (2, "")
+    assert err == ("dsh-lab: out of memory: Unable to allocate an array of shape "
+                   "(1000000, 1000000)\n")
 
 
 def test_console_script_help_runs():

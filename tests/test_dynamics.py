@@ -7,7 +7,7 @@ from dsh_lab import dsh_model as dm
 from dsh_lab import dynamics as dyn
 from dsh_lab import matrixkit as mk
 from dsh_lab.dsh_model import PointRef
-from conftest import zero_element
+from conftest import unit_element, zero_element
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ def test_embedding_map_missing_representative(fib):
 def test_eval_generator_f_basics(fib):
     tower = dyn.build_tower_model(fib, "0", 3)
     unit = dyn.generator_element_f(tower, lambda w: 1.0, 3)
-    assert dm.norm_dist(unit, dm.unit_element(tower.model)) == 0.0
+    assert dm.norm_dist(unit, unit_element(tower.model)) == 0.0
 
     lvl1 = [r for r in tower.model.free_refs() if r.level == 1][0]
     ind = dyn.eval_generator_f(tower, lvl1, lambda w: 1.0 if w[0] == "0" else 0.0, 3)
