@@ -25,7 +25,6 @@ import numpy as np
 from . import dsh_model as dm
 from . import dynamics as dyn
 from . import unitary_paths as up
-from . import verify as vf
 from .matrixkit import matrix_to_json
 from .srone_pipeline import (
     PipelineError,
@@ -178,6 +177,9 @@ def _cmd_build_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that no other command pays for loading the suites
+    from . import verify as vf
+
     seed = _resolve_seed(args.seed)
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"trials must be at least 1, got {args.trials}")

@@ -40,14 +40,11 @@ THRESHOLD_RTOL = 10 * NORM_BOUND_GUARD
 # Smallest singular value at or below which the pipeline treats a point as
 # singular and an element as needing approximation.
 INVERTIBLE_TOL = 1e-9
-# Absolute slack by which the measured total distance may exceed the sum of
-# the stage distances (the triangle inequality): both sides are measured in
-# floating point, after products with ~n unitary path factors (see PATH_ATOL).
-BUDGET_SLACK = 1e-9
-# Relative drift allowed between the smallest singular value of the output
-# and of the core between its unitary factors: equal in exact arithmetic, and
-# apart only by the roundoff of the products and the two SVDs.
-SANDWICH_RTOL = 1e-10
+# Entrywise rounding tolerance of the identity that certifies the pipeline's
+# total distance, per unit of s (k + 1)**3, where s bounds the entries of the
+# identity's operands and k is the dimension of the rotated point: 4 units of
+# roundoff u = 2**-53 (derived in ``srone_pipeline.approximate_by_invertible``).
+IDENTITY_RTOL = 4 * 2.0 ** -53
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

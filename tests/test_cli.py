@@ -396,6 +396,15 @@ def test_console_script_help_runs():
     assert "return-words" in proc.stdout
 
 
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify command loads the property suites
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dsh_lab.cli; print('dsh_lab.verify' in sys.modules)"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_pipeline_tiny_plant_scale_runs_without_warnings():
     # delta / |z| overflows for entries near 1e-300; the shrink factor is 0
     # either way, so nothing may reach stderr

@@ -544,15 +544,25 @@ def test_approximate_planted_end_to_end(rng):
     assert {s.name for s in cert.stages} == {
         "make_zero_cross", "propagate_crosses", "open_block_points",
         "condense_crosses", "triangulate", "rordam_invert"}
-    # measured distance against the mapped input
-    phi = dm.compose_chain(list(chain.maps), 1, cert.output_stage)
-    assert dm.norm_dist(dm.apply_diagonal_map(phi, planted), out) == pytest.approx(
-        cert.total_distance, abs=1e-12)
-    assert dm.min_singular_over_points(out) == pytest.approx(
-        cert.min_singular_value, abs=1e-12)
+    # the certified bound is the stage sum plus a rounding term
+    assert cert.budget_consumed < cert.total_distance
+    _assert_certificate_holds_densely(list(chain.maps), planted, out, cert)
     blob = cert.to_json()
     assert blob["summary"]["total_distance"] < eps
     assert set(blob["stages"][0]["predicates"]) == {"distance_within_eps", "zero_cross_at_1"}
+
+
+def _assert_certificate_holds_densely(maps, a, out, cert):
+    """The dense measurements that the pipeline certifies without: by SVD
+    at every free point, ||a' - phi(a)|| is at most the reported total, and
+    sigma_min(a') is the reported margin to within 1e-13 ||a'||."""
+    phi = dm.compose_chain(maps, 1, cert.output_stage)
+    mapped = dm.apply_diagonal_map(phi, a)
+    dist = max(np.linalg.norm(out.values[ref] - v, 2) for ref, v in mapped.values.items())
+    assert dist <= cert.total_distance
+    svs = [np.linalg.svd(v, compute_uv=False) for v in out.values.values()]
+    assert abs(min(s[-1] for s in svs) - cert.min_singular_value) <= 1e-13 * max(
+        s[0] for s in svs)
 
 
 def _cli_input(s, seed, scale):
@@ -589,6 +599,7 @@ def test_pipeline_working_set_within_3_5_output_elements(rules, seed):
     assert all(ok for st in cert.stages for (_, ok, _) in st.predicates)
     out_bytes = sum(v.nbytes for v in out.values.values())
     assert peak <= 3.5 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
+    _assert_certificate_holds_densely(maps, planted, out, cert)
 
 
 def _unit_but(model, ref, mat):
@@ -652,6 +663,7 @@ def _assert_output_is_dense_sandwich(maps, planted, monkeypatch):
                  @ w2.conj().T)
         got = out.values[ref]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.linalg.norm(got, 2)
+    _assert_certificate_holds_densely(maps, planted, out, cert)
     return zc, prop
 
 
@@ -661,11 +673,10 @@ def test_output_by_index_equals_dense_sandwich(rng, monkeypatch):
     _assert_output_is_dense_sandwich(list(chain.maps), planted, monkeypatch)
 
 
-def test_output_sandwich_at_copies_inside_a_glued_source_point(monkeypatch):
-    # the rotated point a (dimension 2) sits at level 1 of stage 1, inside
-    # the glued point g = (a, b) and again beside it in x's list (g, a); z
-    # lists x 39 times and w alternates x and y. phi(vL) and phi(vR) differ
-    # from the unit at every copy of a's block, those inside g included
+def _glued_copies_input():
+    """(maps, element) where the rotated point a (dimension 2) sits at level
+    1 of stage 1, inside the glued point g = (a, b) and again beside it in
+    x's list (g, a); z lists x 39 times and w alternates x and y."""
     a, b, g, c = PointRef(1, "a"), PointRef(1, "b"), PointRef(2, "g"), PointRef(2, "c")
     x, y, z, w = PointRef(1, "x"), PointRef(1, "y"), PointRef(1, "z"), PointRef(1, "w")
     m1 = FiniteDshModel((Level(2, (ModelPoint("a"), ModelPoint("b"))),
@@ -679,12 +690,132 @@ def test_output_sandwich_at_copies_inside_a_glued_source_point(monkeypatch):
             + np.eye(n) for r, n in ((a, 2), (b, 2), (c, 4))}
     u, sv, vh = np.linalg.svd(vals[a])
     vals[a] = u @ np.diag([sv[0], 0.0]) @ vh
-    zc, prop = _assert_output_is_dense_sandwich(maps, dm.Element(m1, vals), monkeypatch)
-    assert zc.points == {a} and zc.left.shape == (2, 2)
+    return maps, dm.Element(m1, vals)
+
+
+def test_output_sandwich_at_copies_inside_a_glued_source_point(monkeypatch):
+    # phi(vL) and phi(vR) differ from the unit at every copy of a's block,
+    # those inside g included
+    z, w = PointRef(1, "z"), PointRef(1, "w")
+    zc, prop = _assert_output_is_dense_sandwich(*_glued_copies_input(), monkeypatch)
+    assert zc.points == {PointRef(1, "a")} and zc.left.shape == (2, 2)
     # a's block starts at 0 and 4 in each x block of 6, at 4 in each y block
     assert list(prop.offsets[z]) == [6 * j + o for j in range(39) for o in (0, 4)]
     assert list(prop.offsets[w]) == [12 * j + o for j in range(19) for o in (0, 4, 10)] + [
         228, 232]
+
+
+def _failed_predicate(monkeypatch, maps, a, **mutations):
+    """Run the pipeline with each named stage's result passed through its
+    mutation (which also sees the stage results before it), and return the
+    name of the run-time predicate that fails."""
+    seen = {}
+    for name, mutate in mutations.items():
+        def wrapped(*args, real=getattr(sp, name), name=name, mutate=mutate):
+            seen[name] = out = mutate(real(*args), seen)
+            return out
+        monkeypatch.setattr(sp, name, wrapped)
+    with pytest.raises(sp.PipelineError, match="predicate '") as err:
+        sp.approximate_by_invertible(maps, a, 0.25)
+    return str(err.value).split("'")[1]
+
+
+@pytest.fixture(scope="module")
+def planted_input():
+    """(maps, a non-wiped plant at stage 1): a mutation that moves the
+    output acts on a nonzero nilpotent part."""
+    chain = _deepened_chain(67)
+    return list(chain.maps), plant(chain.model(1), np.random.default_rng(12345), scale=0.05)
+
+
+def _changed(before, after):
+    assert not np.array_equal(before, after), "the mutation changes nothing"
+    return after
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_block_transposed_without_conjugation_fails_the_identity(monkeypatch, planted_input,
+                                                                 side):
+    # the output uses vL.T (vR.T) for vL* (vR*)
+    def transpose(zc, seen):
+        return dataclasses.replace(zc, **{side: _changed(getattr(zc, side),
+                                                          getattr(zc, side).conj())})
+
+    assert _failed_predicate(monkeypatch, *planted_input,
+                             make_zero_cross=transpose) == "budget_soundness"
+
+
+def test_gather_v3_index_for_its_inverse_fails_the_identity(monkeypatch, planted_input):
+    # V3 chosen so that the output's row index s = inverse(gather[v3]) reads
+    # gather[v3] itself
+    def invert(result, seen):
+        v3, out, preds = result
+        gather = seen["propagate_crosses"][0].gather
+        mutated = {ref: sp._inverse(gather[ref])[sp._inverse(gather[ref][p])]
+                   for ref, p in v3.items()}
+        # the composite is an involution at some points, not at all
+        _changed(np.concatenate([gather[ref][p] for ref, p in v3.items()]),
+                 np.concatenate([sp._inverse(gather[ref][p]) for ref, p in v3.items()]))
+        return mutated, out, preds
+
+    assert _failed_predicate(monkeypatch, *planted_input,
+                             propagate_crosses=lambda result, seen: result,
+                             condense_crosses=invert) == "budget_soundness"
+
+
+def test_v4_index_for_its_inverse_fails_the_identity(monkeypatch, planted_input):
+    def invert(result, seen):
+        v4, out, preds = result
+        return {ref: _changed(p, sp._inverse(p)) for ref, p in v4.items()}, out, preds
+
+    assert _failed_predicate(monkeypatch, *planted_input,
+                             triangulate=invert) == "budget_soundness"
+
+
+def test_offsets_from_eigenvalue_list_entries_fail_the_identity(monkeypatch):
+    # the entries of the rotated point in each eigenvalue list miss the
+    # copies of its block inside a glued source point
+    maps, a = _glued_copies_input()
+
+    def from_list_entries(result, seen):
+        prop, image = result
+        phi = dm.compose_chain(maps, 1, prop.stage_index)
+        (p_star,) = seen["make_zero_cross"].points
+        offsets = {}
+        for ref, srcs in phi.lists.items():
+            starts = np.cumsum([0] + [phi.source.dim(src.level) for src in srcs])
+            offsets[ref] = _changed(prop.offsets[ref], np.array(
+                [o for o, src in zip(starts, srcs) if src == p_star]))
+        return dataclasses.replace(prop, offsets=offsets), image
+
+    assert _failed_predicate(monkeypatch, maps, a,
+                             make_zero_cross=lambda zc, seen: zc,
+                             propagate_crosses=from_list_entries) == "budget_soundness"
+
+
+def test_block_one_row_short_fails_the_identity(monkeypatch, planted_input):
+    def rotate_blocks(x, offsets, vl, vr):
+        k = len(vl)
+        for o in offsets:
+            x[o:o + k - 1] = (vl @ x[o:o + k])[:-1]
+        for o in offsets:
+            x[:, o:o + k] = x[:, o:o + k] @ vr
+
+    monkeypatch.setattr(sp, "_rotate_blocks", rotate_blocks)
+    assert _failed_predicate(monkeypatch, *planted_input) == "budget_soundness"
+
+
+def test_scaled_block_fails_unitarity_and_the_identity(monkeypatch, planted_input):
+    def scale(zc, seen):
+        return dataclasses.replace(zc, left=zc.left * (1 + 1e-6))
+
+    assert _failed_predicate(monkeypatch, *planted_input,
+                             make_zero_cross=scale) == "unitary_sandwich_exactness"
+    # without the unitarity check, the identity's residual still catches it
+    monkeypatch.undo()
+    monkeypatch.setattr(sp, "is_unitary", lambda u: True)
+    assert _failed_predicate(monkeypatch, *planted_input,
+                             make_zero_cross=scale) == "budget_soundness"
 
 
 def test_certificate_records_threshold_delta_and_wipe(rng, fib_chain):
