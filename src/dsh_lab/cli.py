@@ -225,7 +225,6 @@ def _cmd_pipeline(args) -> int:
         raise UsageError(f"max-depth must be at least 2, got {args.max_depth}")
     _require_max_points(args.max_points)
     s = _load_substitution(args.substitution)
-    rng = np.random.default_rng(seed)
     bases = dyn.fibonacci_prefix_bases(s, min(3, args.max_depth))
     try:
         chain = dyn.build_cylinder_chain(s, bases,
@@ -245,7 +244,9 @@ def _cmd_pipeline(args) -> int:
             raise UsageError(f"invalid element file: {exc}") from exc
         input_id = args.element
     else:
-        planted = plant_singular_element(chain.model(1), rng, scale=args.plant_scale)
+        # only a planted element needs the generator, and with it numpy.random
+        planted = plant_singular_element(chain.model(1), np.random.default_rng(seed),
+                                         scale=args.plant_scale)
         input_id = "planted"
     t0 = time.perf_counter()
     try:

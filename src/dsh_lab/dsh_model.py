@@ -111,6 +111,12 @@ class FiniteDshModel:
             out[ref] = tuple(starts)
         return MappingProxyType(out)
 
+    @cached_property
+    def _zero_values(self) -> Mapping[PointRef, np.ndarray]:
+        """A read-only zero at every free point, one per dimension."""
+        zeros = {d: _freeze(np.zeros((d, d), dtype=np.complex128)) for d in set(self._dims)}
+        return MappingProxyType({r: zeros[self.dim(r.level)] for r in self._free_refs})
+
     def has_point(self, ref: PointRef) -> bool:
         return ref in self._points
 
@@ -279,9 +285,7 @@ def witness_no_block_point(m: FiniteDshModel, ref: PointRef, k: int) -> Element:
         else:
             raise ValueError(f"position {k} is a block boundary at {ref}; no witness exists")
 
-    # every other free point shares one read-only zero of its dimension
-    zeros = {d: _freeze(np.zeros((d, d), dtype=np.complex128)) for d in m._dims}
-    vals = {r: zeros[m.dim(r.level)] for r in m.free_refs()}
+    vals = dict(m._zero_values)
     v = np.zeros((m.dim(target.level),) * 2, dtype=np.complex128)
     v[local_k - 2, local_k - 1] = 1.0
     vals[target] = _freeze(v)
@@ -423,11 +427,16 @@ def build_indicator(m: FiniteDshModel, M: int, K: Sequence[int], F=None) -> Elem
 
 
 def shrink(v: np.ndarray, delta: float) -> np.ndarray:
-    """Entrywise z -> z * max(0, |z| - delta) / |z| of one matrix."""
-    mag = np.abs(v)
+    """Entrywise z -> z * max(0, |z| - delta) / |z| of an array, computed at
+    its nonzeros only and written into zeros."""
+    nz = v != 0
+    z = v[nz]
+    mag = np.abs(z)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         factor = np.maximum(0.0, 1.0 - delta / mag)
-    return v * np.where(np.isfinite(factor), factor, 0.0)
+    out = np.zeros_like(v)
+    out[nz] = z * np.where(np.isfinite(factor), factor, 0.0)
+    return out
 
 
 def soft_threshold(e: Element, delta: float) -> Element:

@@ -2,15 +2,16 @@
 
 Matrices are square ``numpy.complex128`` arrays. The constructors
 (``as_matrix``, ``direct_sum``, ``perm_matrix``, ``matrix_from_json``)
-return fresh read-only arrays; products are plain ``@``. ``is_unitary`` and
-``diagonal_radius`` reduce over the last two axes, so they also take a stack
-of matrices of shape (K, n, n) and return one answer per matrix; every other
-function works on single matrices. All row/column *positions* in this
-package are 1-based, matching the block-start / zero-cross bookkeeping of
-the algebra models built on top (``has_zero_cross(A, k)`` speaks about row
-and column ``k`` with ``1 <= k <= n``). ``Permutation`` and ``perm_matrix``
-stay as the independent reference that the ``conj`` suite and the tests
-check paths against.
+return fresh read-only arrays; products are plain ``@``. ``is_unitary``,
+``diagonal_radius`` and ``norm_below`` reduce over the last two axes, so
+they also take stacks of matrices of shape (K, n, n), the first two with
+one answer per matrix; every other function works on single matrices. All
+row/column *positions* in this package are 1-based, matching the
+block-start / zero-cross bookkeeping of the algebra models built on top
+(``has_zero_cross(A, k)`` speaks about row and column ``k`` with
+``1 <= k <= n``). ``Permutation`` and ``perm_matrix`` stay as the
+independent reference that the ``conj`` suite and the tests check paths
+against.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ def diagonal_radius(a: np.ndarray, atol: float = DEFAULT_ATOL):
 
 
 def is_strictly_lower_triangular(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    """True iff |A_{i,j}| <= atol for all i <= j."""
+    """True iff |A_{i,j}| <= atol for all i <= j; row by row, so that no
+    triangle of A is copied."""
     a = np.asarray(a)
-    return bool(np.max(np.abs(np.triu(a)), initial=0.0) <= atol)
+    return all(np.abs(a[i, i:]).max(initial=0.0) <= atol for i in range(len(a)))
 
 
 def _components(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,16 +220,15 @@ def _components(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lab = new
 
 
-def _block_spectra(a: np.ndarray) -> tuple[list[np.ndarray], bool] | None:
-    """Singular values of A from the connected components of its exact
-    nonzeros, or None when one component holds most of the rows.
+def _component_blocks(a: np.ndarray) -> tuple[list[np.ndarray], bool] | None:
+    """The connected components of A's exact nonzeros as dense blocks, or
+    None when one component holds most of the rows.
 
     Permuting rows and columns by component makes A block diagonal with
-    (generally rectangular) blocks, so its nonzero singular values are the
-    blocks'. Blocks of one shape share a stacked SVD; 1x1 blocks are their
-    modulus. Returns the per-shape singular value arrays and whether A has
-    more singular values than the blocks supply: every row or column that a
-    rectangular component leaves unmatched adds a zero.
+    (generally rectangular) blocks. Returns them as stacks, one of shape
+    (K, p, q) per block shape, and whether A has more singular values than
+    the blocks supply: every row or column that a rectangular component
+    leaves unmatched adds a zero.
     """
     if a.ndim != 2 or a.size == 0:
         return None
@@ -251,19 +252,27 @@ def _block_spectra(a: np.ndarray) -> tuple[list[np.ndarray], bool] | None:
     corder = np.argsort(clab, kind="stable")
     rstart = np.cumsum(p) - p
     cstart = np.cumsum(q) - q
-    spectra = []
+    stacks = []
     shaped = (p > 0) & (q > 0)
     for bp, bq in set(zip(p[shaped].tolist(), q[shaped].tolist())):
         sel = np.flatnonzero((p == bp) & (q == bq))
         r = rorder[rstart[sel][:, None] + np.arange(bp)]
         c = corder[cstart[sel][:, None] + np.arange(bq)]
-        blocks = a[r[:, :, None], c[:, None, :]]
-        if bp == bq == 1:
-            spectra.append(np.abs(blocks).ravel())
-        else:
-            spectra.append(np.linalg.svd(blocks, compute_uv=False))
+        stacks.append(a[r[:, :, None], c[:, None, :]])
     short = int(np.minimum(p, q).sum()) < min(n, m)
-    return spectra, short
+    return stacks, short
+
+
+def _block_spectra(a: np.ndarray) -> tuple[list[np.ndarray], bool] | None:
+    """``_component_blocks`` with each stack replaced by its singular values:
+    A's nonzero singular values are the blocks'. Blocks of one shape share a
+    stacked SVD; 1x1 blocks are their modulus."""
+    parts = _component_blocks(a)
+    if parts is None:
+        return None
+    stacks, short = parts
+    return [np.abs(b).ravel() if b.shape[1:] == (1, 1) else np.linalg.svd(b, compute_uv=False)
+            for b in stacks], short
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -277,25 +286,27 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def norm_below(mats: Iterable[np.ndarray], bound: float) -> bool:
-    """True iff op_norm(a) < bound for every a in mats.
+    """True iff op_norm(a) < bound for every matrix a in mats; each item is a
+    matrix or a stack of matrices, reduced over the last two axes.
 
     Each matrix is decided by the norm inequalities (Golub & Van Loan 2.3)
     largest row or column 2-norm <= ||A||_2 <= min(sqrt(||A||_1 ||A||_inf),
-    ||A||_F); only a matrix whose bounds straddle ``bound`` goes through
-    op_norm, after every other matrix has been checked.
+    ||A||_F); a matrix whose bounds straddle ``bound`` goes through op_norm
+    as soon as it is met.
     """
-    undecided = []
     for a in mats:
         mag = np.abs(a)
         sq = mag * mag
-        lower = np.sqrt(max(np.max(sq.sum(axis=0)), np.max(sq.sum(axis=1))))
-        if lower > bound * (1.0 + NORM_BOUND_GUARD):
+        lower = np.sqrt(np.maximum(sq.sum(axis=-2).max(axis=-1), sq.sum(axis=-1).max(axis=-1)))
+        if np.any(lower > bound * (1.0 + NORM_BOUND_GUARD)):
             return False
-        upper = min(np.sqrt(np.max(mag.sum(axis=0)) * np.max(mag.sum(axis=1))),
-                    np.sqrt(sq.sum()))
-        if not upper < bound * (1.0 - NORM_BOUND_GUARD):
-            undecided.append(a)
-    return all(op_norm(a) < bound for a in undecided)
+        upper = np.minimum(np.sqrt(mag.sum(axis=-2).max(axis=-1) * mag.sum(axis=-1).max(axis=-1)),
+                           np.sqrt(sq.sum(axis=(-2, -1))))
+        stack = a.reshape(-1, *a.shape[-2:])
+        for k in np.flatnonzero(~(upper < bound * (1.0 - NORM_BOUND_GUARD))):
+            if not op_norm(stack[k]) < bound:
+                return False
+    return True
 
 
 def min_singular_value(a: np.ndarray) -> float:

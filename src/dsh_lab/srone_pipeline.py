@@ -59,6 +59,7 @@ from .matrixkit import (
     INVERTIBLE_TOL,
     PATH_ATOL,
     THRESHOLD_RTOL,
+    _component_blocks,
     _freeze,
     diagonal_radius,
     has_block_point,
@@ -280,6 +281,7 @@ def _inverse(p: np.ndarray) -> np.ndarray:
 class PropagationStage:
     stage_index: int          # j'
     witness_index: int        # the simplicity witness stage
+    phi: DiagonalMap          # the composite map from stage 1 to stage j'
     # the gathering unitary's index at every free point of stage j'; with
     # the stage-1 vL and vR it gives V1 = gather phi(vL), V2 = phi(vR) gather*
     gather: dict[PointRef, np.ndarray]
@@ -366,8 +368,9 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
     both sides, and it is let go before the next point. The mapped gate is
     1 exactly at the first row of every copy of the rotated point's block,
     copies inside a glued source point included, so its nonzero positions
-    are the offsets where phi(vL) and phi(vR) differ from the unit. The
-    stage peaks at about 2.2 output elements, below the run's peak (see
+    are the offsets where phi(vL) and phi(vR) differ from the unit; its
+    diagonal is read through phi's eigenvalue lists, and no mapped gate is
+    built. The stage peaks at about 2.2 output elements (see
     ``approximate_by_invertible``).
     """
     models = chain_models(chain)
@@ -376,9 +379,10 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
     j_witness, jp, M, N, R = gathering_plan(chain, zc.points)
     model_jp = models[jp - 1]
     phi = compose_chain(chain, 1, jp)
-    # copies: a diagonal view would keep the whole mapped gate alive
-    gates = {ref: np.diag(v).real.copy()
-             for ref, v in apply_diagonal_map(phi, zc.delta).values.items()}
+    # the mapped gate's diagonal, read through phi's eigenvalue lists
+    gates = {ref: np.concatenate([np.diag(eval_element(zc.delta, src)).real
+                                  for src in phi.lists[ref]])
+             for ref in model_jp.free_refs()}
     offsets = {ref: np.flatnonzero(gate) for ref, gate in gates.items()}
     windows = {ref: [int(k) + 1 for k in np.flatnonzero(np.diag(v))]
                for ref, v in build_indicator(
@@ -394,7 +398,7 @@ def propagate_crosses(chain: list[DiagonalMap], zc: ZeroCrossStage,
         r = diagonal_radius(image.values[ref], PATH_ATOL)
         _require(preds, "radius_bound", r <= bound, f"{ref}: radius {r} > {bound}")
     stage = PropagationStage(
-        stage_index=jp, witness_index=j_witness, gather=gather, offsets=offsets,
+        stage_index=jp, witness_index=j_witness, phi=phi, gather=gather, offsets=offsets,
         M=M, N=N, R=R, predicates=preds,
     )
     return stage, image
@@ -413,7 +417,9 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     everything. So hi drops to eps, and the search first tries
     eps*(1 - THRESHOLD_RTOL), which ends it at once when it passes. Each
     step asks ``norm_below`` whether every per-point difference stays under
-    eps, so an SVD runs only where the norm bounds cannot decide. The
+    eps, so an SVD runs only where the norm bounds cannot decide. It asks
+    about the components of the values' nonzeros, split once: the threshold
+    keeps every zero, so a difference's norm is its blocks' largest. The
     search stops once the bracket is narrower than THRESHOLD_RTOL relative
     to hi (lo is certified at every step, so the distance stays under eps
     and delta is within a relative 2*THRESHOLD_RTOL of the fully resolved
@@ -421,14 +427,18 @@ def open_block_points(g: Element, eps: float) -> tuple[Element, float, float]:
     """
     _require_eps(eps)
     n_l = g.model.largest_dim
+    blocks = []
+    for v in g.values.values():
+        parts = _component_blocks(v)
+        blocks.extend([v[None]] if parts is None else parts[0])
 
     def below_eps(delta: float) -> bool:
-        return norm_below((v - shrink(v, delta) for v in g.values.values()), eps)
+        return norm_below((b - shrink(b, delta) for b in blocks), eps)
 
     lo = eps / n_l
     while not below_eps(lo):
         lo /= 2.0
-    max_mod = max((float(np.max(np.abs(v))) if v.size else 0.0) for v in g.values.values())
+    max_mod = max((float(np.abs(b).max()) for b in blocks), default=0.0)
     hi = max_mod + eps / n_l
     if below_eps(hi):
         lo = hi
@@ -665,8 +675,9 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
     phi(e') one point at a time.
 
     At the output stage a run holds one working element and the operands
-    of the step forming it: about 3.1 elements of the output's size at its
-    peak, in the soft-threshold search; the gathering reaches about 2.2.
+    of the step forming it: about 2.5-2.6 elements of the output's size at
+    its peak, where the thresholded element is measured against G; the
+    gathering reaches about 2.2.
     """
     t0 = time.perf_counter()
     _require_eps(eps)
@@ -727,14 +738,13 @@ def approximate_by_invertible(chain: list[DiagonalMap], a: Element, eps: float,
 
     g = Element(g.model, {ref: sandwiched(ref, v) for ref, v in g.values.items()})
 
-    phi = compose_chain(chain, 1, prop.stage_index)
     blocks = {ref: eval_element(zc.element, ref) for ref in zc.element.model.all_refs()}
     scale = (max(float(np.abs(v).max()) for v in zc.element.values.values())
              + max(float(np.abs(v).max()) for v in zc.rotated.values.values()) + delta_r)
     tol = IDENTITY_RTOL * (len(vl) + 1) ** 3 * scale
     residual = max(
         _identity_residual(v, frames[ref], change[ref], prop.offsets[ref], vl, vr, delta_r,
-                           phi.lists[ref], blocks)
+                           prop.phi.lists[ref], blocks)
         for ref, v in g.values.items())
 
     final_preds: list[Predicate] = []

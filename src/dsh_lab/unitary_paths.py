@@ -278,8 +278,11 @@ def _check_theta(theta: np.ndarray, N: int) -> None:
 
 def cycle_power(n: int, N: int) -> np.ndarray:
     """U[gamma_{1,n}]^N: the n-cycle j -> j+1 (mod n) to the power N, built
-    by one index roll; entry (j+N mod n, j) is 1."""
-    return _freeze(np.roll(np.eye(n, dtype=np.complex128), N, axis=0))
+    by index; entry (j+N mod n, j) is 1."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    cols = np.arange(n)
+    out[(cols + N) % n, cols] = 1.0
+    return _freeze(out)
 
 
 def v_n(theta, N: int, validate: bool = True) -> np.ndarray:

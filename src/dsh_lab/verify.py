@@ -138,13 +138,17 @@ def _suite_conj(rng: np.random.Generator, trials: int) -> int:
     t_samples = np.linspace(0.0, 1.0, 20 if trials >= 50 else 5)
     checks = 0
     for n in range(3, n_max + 1):
+        swaps = {(k2, k3): perm_matrix(Permutation.transposition(n, k2, k3))
+                 for k2 in range(2, n) for k3 in range(k2 + 1, n + 1)}
         for k1 in range(1, n - 1):
+            # every path from k1, each evaluated once on the grid
+            paths = {k: up.u_transposition(up.TranspositionPathSpec(k1, k, n), t_samples)
+                     for k in range(k1 + 1, n + 1)}
             for k2 in range(k1 + 1, n):
                 for k3 in range(k2 + 1, n + 1):
-                    swap = perm_matrix(Permutation.transposition(n, k2, k3))
-                    lhs = swap @ up.u_transposition(
-                        up.TranspositionPathSpec(k1, k2, n), t_samples) @ swap
-                    rhs = up.u_transposition(up.TranspositionPathSpec(k1, k3, n), t_samples)
+                    swap = swaps[k2, k3]
+                    lhs = swap @ paths[k2] @ swap
+                    rhs = paths[k3]
                     _check_grid(np.abs(lhs - rhs).max(axis=(-2, -1)) <= DEFAULT_ATOL,
                                 lambda k: f"conjugation identity failed at n={n}, "
                                 f"(k1,k2,k3)=({k1},{k2},{k3}), t={t_samples[k]}")
@@ -373,12 +377,14 @@ def _suite_blockchar(rng: np.random.Generator, trials: int) -> int:
                             f"witness exists at genuine block start {ref}, k={k}")
                     except ValueError:
                         pass
-                    _check(has_block_point(envelope, k),
-                           f"element without block point at start {ref}, k={k}")
+                    if not has_block_point(envelope, k):
+                        raise CounterexampleFound(
+                            f"element without block point at start {ref}, k={k}")
                 else:
                     w = dm.witness_no_block_point(model, ref, k)
-                    _check(not has_block_point(dm.eval_element(w, ref), k),
-                           f"witness fails to break block point at {ref}, k={k}")
+                    if has_block_point(dm.eval_element(w, ref), k):
+                        raise CounterexampleFound(
+                            f"witness fails to break block point at {ref}, k={k}")
                 checks += 1
     return checks
 

@@ -405,6 +405,24 @@ def test_cli_import_leaves_verify_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_element_file_run_leaves_numpy_random_unloaded(tmp_path):
+    # only a planted element needs the seeded generator
+    from dsh_lab import dynamics as dyn
+
+    stage1 = dyn.build_tower_model(dyn.Substitution.fibonacci(), "0", 1, max_points_per_level=16)
+    src = tmp_path / "element.json"
+    src.write_text(json.dumps(element_to_json(zero_element(stage1.model))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dsh_lab import cli; code = cli.main(sys.argv[1:]); "
+         "print('numpy.random' in sys.modules); sys.exit(code)",
+         "pipeline", "--element", str(src), "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["certificate"]["input_element"] \
+        == str(src)
+
+
 def test_pipeline_tiny_plant_scale_runs_without_warnings():
     # delta / |z| overflows for entries near 1e-300; the shrink factor is 0
     # either way, so nothing may reach stderr

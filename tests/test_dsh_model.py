@@ -419,6 +419,34 @@ def test_soft_threshold_identity_and_cut(two_level_model, rng):
     assert dm.norm_dist(cut, zero_element(two_level_model)) == 0.0
 
 
+def _dense_shrink(v, delta):
+    """The dense shrink formula: the reference that ``dm.shrink``, which
+    computes only at the nonzeros, must equal there bitwise."""
+    mag = np.abs(v)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        factor = np.maximum(0.0, 1.0 - delta / mag)
+    return v * np.where(np.isfinite(factor), factor, 0.0)
+
+
+def test_shrink_equals_the_dense_formula_at_every_nonzero(two_level_model, rng):
+    from dsh_lab.srone_pipeline import plant_singular_element
+
+    values = [v for scale in (1.0, 0.05, 1e-300)
+              for v in plant_singular_element(two_level_model, rng, scale).values.values()]
+    for n in (1, 4, 9):
+        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v[rng.random((n, n)) < 0.5] = 0.0
+        values += [v, v * 1e300, np.stack([v, 2 * v, np.zeros_like(v)])]
+    for v in values:
+        for delta in (0.0, 1e-300, 0.05, float(np.abs(v).max()), 0.5 * float(np.abs(v).max())):
+            out = dm.shrink(v, delta)
+            ref = _dense_shrink(v, delta)
+            nz = v != 0
+            assert np.array_equal(out[nz].view(np.uint64), ref[nz].view(np.uint64))
+            assert not out[~nz].any()
+            assert out.shape == v.shape and out.dtype == v.dtype
+
+
 def test_soft_threshold_distance_and_patterns(two_level_model, rng):
     delta = 0.1
     n_l = two_level_model.largest_dim

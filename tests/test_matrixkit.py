@@ -161,6 +161,24 @@ def test_strictly_lower_triangular():
     assert mk.is_strictly_lower_triangular(shift)
 
 
+def test_strictly_lower_triangular_matches_the_triu_reference(rng):
+    def reference(a, atol):
+        return bool(np.max(np.abs(np.triu(a)), initial=0.0) <= atol)
+
+    cases = [np.zeros((1, 1)), np.array([[1e-13]]), np.array([[np.nan]]), np.array([[1.0]])]
+    for n in (2, 3, 7):
+        low = np.tril(random_matrix(n, rng), -1)
+        cases.append(low)
+        for i, j in ((0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0), (1, 0)):
+            for z in (np.nan, 1e-13, 2e-12, 1e-9, 1.0j):
+                a = low.copy()
+                a[i, j] = z
+                cases.append(a)
+    for a in cases:
+        for atol in (0.0, mk.DEFAULT_ATOL, mk.PATH_ATOL):
+            assert mk.is_strictly_lower_triangular(a, atol) == reference(a, atol), (a, atol)
+
+
 @pytest.mark.parametrize("n", [2, 5, 9, 16])
 def test_strictly_lower_implies_nilpotent(n, rng):
     a = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), k=-1)
@@ -226,6 +244,22 @@ def test_norm_below_zero_and_one_by_one():
     assert mk.norm_below([one], np.nextafter(5.0, np.inf))
     assert not mk.norm_below([one], 5.0)
     assert mk.norm_below([one], 5.0) == _svd_below([one], 5.0)
+
+
+def test_norm_below_on_stacks_matches_each_matrix(rng):
+    # scaled unitaries put every bound in the guard band, where norm_below
+    # must fall back to the SVD; zero matrices have every bound at 0
+    for n in (1, 2, 5):
+        for delta in (1.0, 3.7e-5):
+            stack = np.stack([delta * random_unitary(n, rng) for _ in range(4)]
+                             + [np.zeros((n, n)), 0.5 * delta * random_matrix(n, rng) / n])
+            norms = [mk.op_norm(a) for a in stack]
+            bounds = [np.nextafter(x, d) for x in norms for d in (0.0, np.inf)]
+            for bound in norms + bounds + [0.0, 1e-300, 2.0 * delta]:
+                want = _svd_below(stack, bound)
+                assert mk.norm_below([stack], bound) == want
+                assert mk.norm_below([stack[:2], stack[2:]], bound) == want
+                assert mk.norm_below(list(stack), bound) == want
 
 
 def test_norm_below_checks_every_matrix(rng):
@@ -295,16 +329,37 @@ def _assert_matches_dense_svd(a):
     assert mk.min_singular_value(a) == pytest.approx(s[-1], rel=1e-13, abs=1e-13 * scale)
 
 
-@pytest.mark.parametrize("shapes", [
+_BLOCK_SHAPES = [
     [(2, 2)] * 6 + [(3, 3)] * 4,                   # square blocks
     [(2, 1), (1, 2), (3, 3), (3, 2), (2, 3)],      # rectangular components
     [(1, 0), (0, 1), (2, 2), (2, 2), (1, 0), (0, 1)],  # empty rows and columns
     [(1, 1)] * 9,                                  # 1x1 blocks only
     [(1, 1), (2, 2), (1, 1), (4, 4), (3, 3), (1, 1), (2, 2), (2, 1), (1, 2)],  # mixed
-])
+]
+
+
+@pytest.mark.parametrize("shapes", _BLOCK_SHAPES)
 def test_spectra_by_component_match_dense_svd(shapes, rng):
     for _ in range(5):
         _assert_matches_dense_svd(_scattered_blocks(shapes, rng))
+
+
+@pytest.mark.parametrize("shapes", _BLOCK_SHAPES)
+def test_component_blocks_reassemble_the_matrix(shapes, rng):
+    a = _scattered_blocks(shapes, rng)
+    stacks, short = mk._component_blocks(a)
+    # the random entries are distinct, so each block row and column is
+    # placed in A by where one of its nonzeros sits there
+    out = np.zeros_like(a)
+    for stack in stacks:
+        for b in stack:
+            rows = [np.argwhere(a == row[np.flatnonzero(row)[0]])[0, 0] for row in b]
+            cols = [np.argwhere(a == col[np.flatnonzero(col)[0]])[0, 1] for col in b.T]
+            assert not out[np.ix_(rows, cols)].any()        # components are disjoint
+            out[np.ix_(rows, cols)] = b
+    assert np.array_equal(out, a)
+    matched = sum(min(b.shape[1:]) * len(b) for b in stacks)
+    assert short == (matched < min(a.shape))
 
 
 def test_spectra_of_a_dense_matrix_take_the_dense_svd(rng):

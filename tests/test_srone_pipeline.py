@@ -577,11 +577,12 @@ def _cli_input(s, seed, scale):
 
 @pytest.mark.parametrize("rules, seed", [({"0": "01", "1": "0"}, 5), ({"0": "01", "1": "00"}, 3)],
                          ids=["fibonacci", "period-doubling"])
-def test_pipeline_working_set_within_3_5_output_elements(rules, seed):
+def test_pipeline_working_set_below_2_6_output_elements(rules, seed):
     # a run holds one working element and the operands of the step forming
     # it, with every pipeline unitary as a permutation index or a block at
-    # the rotated point: 3.08 and 2.86 output elements here, the first in
-    # the soft-threshold search
+    # the rotated point: 2.58 and 2.47 output elements here, both at the end
+    # of the soft-threshold stage, while the thresholded element is measured
+    # against its input
     s = dyn.Substitution.from_json({"alphabet": ["0", "1"], "rules": rules, "seed": "0"})
     maps, planted = _cli_input(s, seed, 0.05)
     was_tracing = tracemalloc.is_tracing()
@@ -598,7 +599,7 @@ def test_pipeline_working_set_within_3_5_output_elements(rules, seed):
     assert cert.threshold_wiped is False
     assert all(ok for st in cert.stages for (_, ok, _) in st.predicates)
     out_bytes = sum(v.nbytes for v in out.values.values())
-    assert peak <= 3.5 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
+    assert peak < 2.6 * out_bytes, f"traced peak {peak / out_bytes:.2f} output elements"
     _assert_certificate_holds_densely(maps, planted, out, cert)
 
 

@@ -294,6 +294,7 @@ def test_eta_endpoints_and_product_permutation():
 def test_cycle_power_matches_its_definition(n, N):
     c = up.cycle_power(n, N)
     assert np.array_equal(c, cycle_power_ref(n, N))
+    assert np.array_equal(c, np.roll(np.eye(n, dtype=np.complex128), N, axis=0))
     assert c.dtype == np.complex128 and not c.flags.writeable
     if N % n == 0:
         assert np.array_equal(c, np.eye(n))
